@@ -59,6 +59,39 @@ class SelectionResult:
     rounds: list = None
 
 
+class SelectionRun:
+    """Pull accounting for one selection call; the only builder of results.
+
+    Checks 0 <= K <= env.n and snapshots the pull counters, so the result
+    reports only the pulls made after construction.  ``rounds`` is the list
+    that round telemetry goes into (None when not recorded).
+    """
+
+    def __init__(self, env, K: int, rounds: list = None):
+        if not 0 <= K <= env.n:
+            raise ValueError(f"K={K} out of range [0, {env.n}]")
+        self.env = env
+        self.K = K
+        self.rounds = rounds
+        self._start = env.pull_counts.copy()
+
+    def trivial(self) -> bool:
+        """True when K is 0 or n: the answer needs no pulls."""
+        return self.K in (0, self.env.n)
+
+    def result(self, selected, rounds_completed: int, accepted=(), rejected=()) -> SelectionResult:
+        per_arm = self.env.pull_counts - self._start
+        return SelectionResult(
+            selected=set(int(i) for i in selected),
+            total_pulls=int(per_arm.sum()),
+            per_arm_pulls=per_arm,
+            rounds_completed=rounds_completed,
+            accepted_early=set(accepted),
+            rejected=set(rejected),
+            rounds=self.rounds,
+        )
+
+
 def _schedule(r: int, tuned: bool) -> float:
     return 1.01 ** (-r) if tuned else 2.0 ** (-r)
 
@@ -89,9 +122,6 @@ class _SortedPool:
     def surviving(self) -> np.ndarray:
         return self.ids[self.lo : self.hi + 1]
 
-    def top(self, count: int) -> np.ndarray:
-        return self.ids[self.lo : self.lo + count]
-
 
 def _commit_sweep(pool: _SortedPool, k_rem: int, threshold: float, accepted: list, rejected: list) -> int:
     """Run the inner accept/reject loop; returns the updated k_rem.
@@ -119,29 +149,42 @@ def _commit_sweep(pool: _SortedPool, k_rem: int, threshold: float, accepted: lis
     return k_rem
 
 
-def _degenerate(env, K: int, epsilon: float):
-    """Selections that need no sampling: K in {0, n} or a vacuous tolerance."""
+def _round_loop(env, K: int, delta: float, tuned: bool, records, more, observe=None):
+    """Pulling rounds with commit sweeps, shared by both selectors.
+
+    Before each round, ``more(r, k_rem, cost)`` decides whether to run it,
+    given the r rounds completed so far, the open slots and the pulls the
+    round would take; ``observe(arms, m, sums)``, when given, sees every
+    round's reward sums.  Rounds also stop once every slot is decided.
+
+    Returns (accepted, rejected, survivors, k_rem, r): ``survivors`` are the
+    undecided arms, best first by the last round's means (in input order
+    when no round ran).
+    """
     n = env.n
-    if K == 0:
-        return set()
-    if K == n:
-        return set(range(n))
-    if epsilon >= 1.0:
-        return set(range(K))  # any K arms meet the tolerance for means in [0, 1]
-    return None
-
-
-def _result(env, start_counts, selected, rounds, A, B, records):
-    per_arm = env.pull_counts - start_counts
-    return SelectionResult(
-        selected=set(int(i) for i in selected),
-        total_pulls=int(per_arm.sum()),
-        per_arm_pulls=per_arm,
-        rounds_completed=rounds,
-        accepted_early=set(A),
-        rejected=set(B),
-        rounds=records,
-    )
+    accepted: list = []
+    rejected: list = []
+    survivors = np.arange(n)
+    r = 0
+    k_rem = K
+    while k_rem >= 1 and len(survivors) > k_rem:
+        m = _round_pulls(n, r + 1, delta, tuned)
+        if not more(r, k_rem, m * len(survivors)):
+            break
+        r += 1
+        scale = _schedule(r, tuned)
+        sums = env.pull_many(survivors, m)
+        if observe is not None:
+            observe(survivors, m, sums)
+        means = sums / m
+        if records is not None:
+            records.append(RoundRecord(r, scale, m, survivors.copy(), means.copy()))
+        pool = _SortedPool(survivors, means)
+        threshold = scale / 3.0 if tuned else 2.0 * scale
+        k_rem = _commit_sweep(pool, k_rem, threshold, accepted, rejected)
+        survivors = pool.surviving()
+        assert pool.size() + len(accepted) + len(rejected) == n
+    return accepted, rejected, survivors, k_rem, r
 
 
 def adaptive_topk(env, K: int, epsilon: float, delta: float, tuned: bool = False,
@@ -157,48 +200,21 @@ def adaptive_topk(env, K: int, epsilon: float, delta: float, tuned: bool = False
         tuned: use the smoothed schedule (see module docstring).
         record_rounds: attach per-round telemetry to the result.
     """
-    n = env.n
-    if not 0 <= K <= n:
-        raise ValueError(f"K={K} out of range [0, {n}]")
+    run = SelectionRun(env, K, [] if record_rounds else None)
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
-    start = env.pull_counts.copy()
-    shortcut = _degenerate(env, K, epsilon)
-    if shortcut is not None:
-        return _result(env, start, shortcut, 0, set(), set(), [] if record_rounds else None)
+    if run.trivial() or epsilon >= 1.0:
+        # Any K arms meet a tolerance of 1 for means in [0, 1].
+        return run.result(range(K), 0)
 
-    accepted: list = []
-    rejected: list = []
-    survivors = np.arange(n)
-    records = [] if record_rounds else None
-    pool = None
-    r = 0
-    k_rem = K
     # The stopping rule is evaluated with the scale of the round just
     # completed (2^0 = 1 before any round, which always admits epsilon < 2).
-    while 2.0 * _schedule(r, tuned) * k_rem > epsilon * K:
-        r += 1
-        scale = _schedule(r, tuned)
-        m = _round_pulls(n, r, delta, tuned)
-        sums = env.pull_many(survivors, m)
-        means = sums / m
-        if records is not None:
-            records.append(RoundRecord(r, scale, m, survivors.copy(), means.copy()))
-        pool = _SortedPool(survivors, means)
-        threshold = scale / 3.0 if tuned else 2.0 * scale
-        k_rem = _commit_sweep(pool, k_rem, threshold, accepted, rejected)
-        survivors = pool.surviving()
-        assert pool.size() + len(accepted) + len(rejected) == n
-        if k_rem == 0:
-            return _result(env, start, accepted, r, accepted, rejected, records)
-        if pool.size() == k_rem:
-            # No boundary arm left to compare against: take every survivor.
-            return _result(env, start, accepted + list(survivors), r, accepted, rejected, records)
-
-    final = accepted + [int(i) for i in pool.top(k_rem)]
-    return _result(env, start, final, r, accepted, rejected, records)
+    accepted, rejected, survivors, k_rem, r = _round_loop(
+        env, K, delta, tuned, run.rounds,
+        lambda r, k_rem, cost: 2.0 * _schedule(r, tuned) * k_rem > epsilon * K)
+    return run.result(accepted + list(survivors[:k_rem]), r, accepted, rejected)
 
 
 def adaptive_topk_fixed_budget(env, K: int, budget: int, delta: float = 0.01,
@@ -215,61 +231,35 @@ def adaptive_topk_fixed_budget(env, K: int, budget: int, delta: float = 0.01,
     ``delta`` only shapes the per-round pull counts (default mirrors the
     benchmark protocol); there is no confidence guarantee in this mode.
     """
-    n = env.n
-    if not 0 <= K <= n:
-        raise ValueError(f"K={K} out of range [0, {n}]")
+    run = SelectionRun(env, K, [] if record_rounds else None)
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
-    start = env.pull_counts.copy()
-    if K in (0, n):
-        return _result(env, start, set(range(n)) if K == n else set(), 0, set(), set(),
-                       [] if record_rounds else None)
+    if run.trivial():
+        return run.result(range(K), 0)
 
+    n = env.n
     state = EmpiricalState.zeros(n)
     if budget < n:
         # Documented degradation: not even one sweep fits.
         head = np.arange(budget)
         state.add_many(head, 1, env.pull_many(head, 1))
         order = np.argsort(-np.nan_to_num(state.means(), nan=-1.0), kind="stable")
-        return _result(env, start, order[:K], 0, set(), set(), [] if record_rounds else None)
+        return run.result(order[:K], 0)
 
-    accepted: list = []
-    rejected: list = []
-    survivors = np.arange(n)
-    records = [] if record_rounds else None
-    remaining = budget
-    r = 0
-    k_rem = K
-    while True:
-        r += 1
-        m = _round_pulls(n, r, delta, tuned)
-        cost = m * len(survivors)
-        if cost > remaining:
-            q, extra = divmod(remaining, len(survivors))
-            if q:
-                state.add_many(survivors, q, env.pull_many(survivors, q))
-            if extra:
-                state.add_many(survivors[:extra], 1, env.pull_many(survivors[:extra], 1))
-            break
-        sums = env.pull_many(survivors, m)
-        state.add_many(survivors, m, sums)
-        remaining -= cost
-        means = sums / m
-        if records is not None:
-            records.append(RoundRecord(r, _schedule(r, tuned), m, survivors.copy(), means.copy()))
-        pool = _SortedPool(survivors, means)
-        threshold = _schedule(r, tuned) / 3.0 if tuned else 2.0 * _schedule(r, tuned)
-        k_rem = _commit_sweep(pool, k_rem, threshold, accepted, rejected)
-        survivors = pool.surviving()
-        assert pool.size() + len(accepted) + len(rejected) == n
-        if k_rem == 0:
-            return _result(env, start, accepted, r, accepted, rejected, records)
-        if pool.size() == k_rem:
-            return _result(env, start, accepted + list(survivors), r, accepted, rejected, records)
-
-    pooled = state.means()[survivors]
-    order = np.argsort(-pooled, kind="stable")
-    final = accepted + [int(survivors[i]) for i in order[:k_rem]]
-    return _result(env, start, final, r - 1, accepted, rejected, records)
+    # ``state`` tallies every pull of the run, so budget - its count is what
+    # is left.
+    accepted, rejected, survivors, k_rem, r = _round_loop(
+        env, K, delta, tuned, run.rounds,
+        lambda r, k_rem, cost: cost <= budget - state.counts.sum(), state.add_many)
+    if k_rem >= 1 and len(survivors) > k_rem:
+        # The budget ran out first: spread the rest over the survivors and
+        # rank them by means pooled over every pull of the run.
+        q, extra = divmod(budget - int(state.counts.sum()), len(survivors))
+        if q:
+            state.add_many(survivors, q, env.pull_many(survivors, q))
+        if extra:
+            state.add_many(survivors[:extra], 1, env.pull_many(survivors[:extra], 1))
+        survivors = survivors[np.argsort(-state.means()[survivors], kind="stable")]
+    return run.result(accepted + list(survivors[:k_rem]), r, accepted, rejected)

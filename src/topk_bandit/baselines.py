@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .adaptive import SelectionResult
+from .adaptive import SelectionResult, SelectionRun
 from .env import EmpiricalState
 
 __all__ = ["uniform_topk", "cb_accept_reject_topk"]
@@ -27,32 +27,18 @@ def _check_budget(env, budget: int) -> None:
         raise ValueError(f"budget {budget} is below one pull per arm (n={env.n})")
 
 
-def _result(env, start, selected, A=None, B=None) -> SelectionResult:
-    per_arm = env.pull_counts - start
-    return SelectionResult(
-        selected=set(int(i) for i in selected),
-        total_pulls=int(per_arm.sum()),
-        per_arm_pulls=per_arm,
-        rounds_completed=1,
-        accepted_early=set(A or ()),
-        rejected=set(B or ()),
-    )
-
-
 def uniform_topk(env, K: int, budget: int) -> SelectionResult:
     """Split the budget evenly, then take the K best empirical means."""
-    n = env.n
-    if not 0 <= K <= n:
-        raise ValueError(f"K={K} out of range [0, {n}]")
+    run = SelectionRun(env, K)
     _check_budget(env, budget)
-    start = env.pull_counts.copy()
-    if K in (0, n):
-        return _result(env, start, range(n) if K == n else ())
+    if run.trivial():
+        return run.result(range(K), 1)
+    n = env.n
     m = budget // n
     arms = np.arange(n)
     means = env.pull_many(arms, m) / m
     order = np.argsort(-means, kind="stable")
-    return _result(env, start, order[:K])
+    return run.result(order[:K], 1)
 
 
 def cb_accept_reject_topk(env, K: int, budget: int) -> SelectionResult:
@@ -66,14 +52,12 @@ def cb_accept_reject_topk(env, K: int, budget: int) -> SelectionResult:
     mirror case, and the selection is topped up by empirical means when the
     budget runs out.
     """
-    n = env.n
-    if not 0 <= K <= n:
-        raise ValueError(f"K={K} out of range [0, {n}]")
+    run = SelectionRun(env, K)
     _check_budget(env, budget)
-    start = env.pull_counts.copy()
-    if K in (0, n):
-        return _result(env, start, range(n) if K == n else ())
+    if run.trivial():
+        return run.result(range(K), 1)
 
+    n = env.n
     state = EmpiricalState.zeros(n)
     arms = np.arange(n)
     state.add_many(arms, 1, env.pull_many(arms, 1))
@@ -123,4 +107,4 @@ def cb_accept_reject_topk(env, K: int, budget: int) -> SelectionResult:
         final = set(accepted) | set(int(u[i]) for i in order[:k_rem])
     else:
         final = set(accepted)
-    return _result(env, start, final, accepted, rejected)
+    return run.result(final, 1, accepted, rejected)

@@ -32,6 +32,7 @@ __all__ = [
     "run_experiment",
     "resolve_means",
     "default_budget_grid",
+    "setup_trial",
     "ALGORITHMS",
     "CSV_COLUMNS",
 ]
@@ -78,17 +79,19 @@ def _run_optmai(env, K, epsilon, delta, budget):
     return opt_mai(env, range(env.n), K, epsilon, delta)
 
 
-# Names accepted by --algo and ExperimentConfig.algorithms.  The tuned
+# Names accepted by --algo and ExperimentConfig.algorithms, each mapped to
+# (call(env, K, epsilon, delta, budget) -> selected arms, takes a budget).
+# Fixed-confidence algorithms run to their own stopping rule.  The tuned
 # schedule is the variant used in published comparisons; the plain
 # "adaptive-fb" keeps the doubling schedule and conservative commit rule.
 ALGORITHMS = {
-    "adaptive": _run_adaptive,
-    "adaptive-fb": _run_adaptive_fb,
-    "adaptive-fb-tuned": _run_adaptive_fb_tuned,
-    "improved": _run_improved,
-    "uniform": _run_uniform,
-    "cb-ar": _run_cb_ar,
-    "optmai": _run_optmai,
+    "adaptive": (_run_adaptive, False),
+    "adaptive-fb": (_run_adaptive_fb, True),
+    "adaptive-fb-tuned": (_run_adaptive_fb_tuned, True),
+    "improved": (_run_improved, False),
+    "uniform": (_run_uniform, True),
+    "cb-ar": (_run_cb_ar, True),
+    "optmai": (_run_optmai, False),
 }
 
 
@@ -182,31 +185,37 @@ def default_budget_grid(means: np.ndarray, K: int, epsilon: float) -> list:
     return list(grid)
 
 
-def _trial_outcome(means, K, epsilon, delta, algo_name, algo_fn, budget, trial, base_seed):
-    """Run one seeded trial; returns (regret, total_pulls)."""
-    ss = np.random.SeedSequence((int(base_seed), int(budget), int(trial)))
-    shuffle_ss, env_ss = ss.spawn(2)
+def setup_trial(means, K, epsilon, delta, shuffle_seed, env_seed):
+    """One trial's setup: a hidden shuffle of arm identities, a seeded
+    environment over the shuffled means, and a regret scorer.
+
+    Returns (env, shuffled_means, regret) where ``regret(selected)`` is the
+    aggregate regret of a selection given as environment arm indices.
+    """
+    means = np.asarray(means, dtype=np.float64)
     n = means.size
-    perm = np.random.default_rng(shuffle_ss).permutation(n)
-    shuffled = means[perm]
-    env = ArmEnvironment(Instance(shuffled, K, epsilon, delta), seed=env_ss)
-    selected = list(algo_fn(env, K, epsilon, delta, budget))
-    if len(set(selected)) != K:
-        raise RuntimeError(f"{algo_name} returned {len(set(selected))} arms, expected {K}")
+    shuffled = means[np.random.default_rng(shuffle_seed).permutation(n)]
+    env = ArmEnvironment(Instance(shuffled, K, epsilon, delta), seed=env_seed)
     order = np.argsort(-shuffled, kind="stable")
     rank_of = np.empty(n, dtype=np.intp)
     rank_of[order] = np.arange(n)
     sorted_means = shuffled[order]
-    regret = aggregate_regret(sorted_means, K, rank_of[selected])
-    return regret, env.total_pulls()
+
+    def regret(selected) -> float:
+        return aggregate_regret(sorted_means, K, rank_of[list(selected)])
+
+    return env, shuffled, regret
 
 
-def _task(args):
-    means, K, epsilon, delta, algo_name, budget, trial, base_seed = args
-    algo_fn = ALGORITHMS[algo_name]
-    regret, pulls = _trial_outcome(means, K, epsilon, delta, algo_name, algo_fn,
-                                   budget, trial, base_seed)
-    return algo_name, budget, trial, regret, pulls
+def _trial_outcome(task):
+    """Run one seeded trial; returns (regret, total_pulls)."""
+    means, K, epsilon, delta, algo_name, algo_fn, budget, trial, base_seed = task
+    shuffle_ss, env_ss = np.random.SeedSequence((int(base_seed), int(budget), int(trial))).spawn(2)
+    env, _, regret = setup_trial(means, K, epsilon, delta, shuffle_ss, env_ss)
+    selected = list(algo_fn(env, K, epsilon, delta, budget))
+    if len(set(selected)) != K:
+        raise RuntimeError(f"{algo_name} returned {len(set(selected))} arms, expected {K}")
+    return regret(selected), env.total_pulls()
 
 
 def run_experiment(config: ExperimentConfig, algorithms: dict = None) -> ExperimentReport:
@@ -222,7 +231,7 @@ def run_experiment(config: ExperimentConfig, algorithms: dict = None) -> Experim
     regardless of worker count: trial results are keyed and sorted before
     aggregation.
     """
-    registry = dict(ALGORITHMS)
+    registry = {name: select for name, (select, _) in ALGORITHMS.items()}
     if algorithms:
         if config.workers != 1:
             raise ValueError("injected algorithms require workers=1")
@@ -234,26 +243,17 @@ def run_experiment(config: ExperimentConfig, algorithms: dict = None) -> Experim
     if not 1 <= config.k <= means.size:
         raise ValueError(f"K={config.k} out of range for n={means.size}")
 
-    outcomes = {}
+    cells = [(algo_name, budget, trial)
+             for algo_name in config.algorithms
+             for budget in config.budgets
+             for trial in range(config.trials)]
+    tasks = [(means, config.k, config.epsilon, config.delta, algo_name, registry[algo_name],
+              budget, trial, config.base_seed) for algo_name, budget, trial in cells]
     if config.workers == 1:
-        for algo_name in config.algorithms:
-            fn = registry[algo_name]
-            for budget in config.budgets:
-                for trial in range(config.trials):
-                    regret, pulls = _trial_outcome(means, config.k, config.epsilon,
-                                                   config.delta, algo_name, fn,
-                                                   budget, trial, config.base_seed)
-                    outcomes[(algo_name, budget, trial)] = (regret, pulls)
+        outcomes = dict(zip(cells, map(_trial_outcome, tasks)))
     else:
-        tasks = [
-            (means, config.k, config.epsilon, config.delta, algo_name, budget, trial, config.base_seed)
-            for algo_name in config.algorithms
-            for budget in config.budgets
-            for trial in range(config.trials)
-        ]
         with concurrent.futures.ProcessPoolExecutor(max_workers=config.workers) as pool:
-            for algo_name, budget, trial, regret, pulls in pool.map(_task, tasks, chunksize=8):
-                outcomes[(algo_name, budget, trial)] = (regret, pulls)
+            outcomes = dict(zip(cells, pool.map(_trial_outcome, tasks, chunksize=8)))
 
     rows = []
     for algo_name in config.algorithms:

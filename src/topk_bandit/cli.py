@@ -20,10 +20,16 @@ import sys
 
 import numpy as np
 
-from .bench import ALGORITHMS, ExperimentConfig, default_budget_grid, resolve_means, run_experiment
-from .env import ArmEnvironment, Instance
-from .hardness import aggregate_regret, hardness
-from .instances import gen_synthetic_p, gen_two_group, gen_uniform
+from .bench import (
+    ALGORITHMS,
+    GENERATORS,
+    ExperimentConfig,
+    default_budget_grid,
+    resolve_means,
+    run_experiment,
+    setup_trial,
+)
+from .hardness import hardness
 from .lowerbound import optimal_coin_error, optimal_coin_log_error
 
 EXIT_OK = 0
@@ -99,8 +105,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--algo", required=True, choices=sorted(ALGORITHMS))
     p.add_argument("--epsilon", type=float, default=0.01)
     p.add_argument("--delta", type=float, default=0.01)
+    needs_budget = ", ".join(name for name, (_, takes_budget) in ALGORITHMS.items() if takes_budget)
     p.add_argument("--budget", type=int, default=None,
-                   help="pull budget (required by fixed-budget algorithms)")
+                   help=f"pull budget (required by {needs_budget})")
     p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("experiment", help="budget-grid experiment to CSV")
@@ -126,28 +133,30 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _gen_means(args) -> np.ndarray:
-    if args.instance == "two-group":
-        return gen_two_group(args.n, args.k)
-    if args.instance == "uniform":
-        return gen_uniform(args.n)
-    if args.instance == "synthetic":
-        return gen_synthetic_p(args.n, args.k, args.p)
-    raise ValueError(f"gen requires a generator name, got {args.instance!r}")
+def _means(args) -> np.ndarray:
+    """The mean vector named by the instance flags (generator or file)."""
+    return resolve_means(ExperimentConfig(instance=args.instance, k=args.k, n=args.n, p=args.p,
+                                          budgets=(1,)))
+
+
+def _selection_means(args) -> np.ndarray:
+    means = _means(args)
+    if not 1 <= args.k < means.size:
+        raise ValueError(f"need 1 <= K < n; got K={args.k}, n={means.size}")
+    return means
 
 
 def _cmd_hardness(args) -> int:
-    cfg = ExperimentConfig(instance=args.instance, k=args.k, n=args.n, p=args.p,
-                           epsilon=args.epsilon, budgets=(1,))
-    means = resolve_means(cfg)
-    sorted_means = np.sort(means)[::-1]
+    sorted_means = np.sort(_means(args))[::-1]
     report = hardness(sorted_means, args.k, args.epsilon)
     print(json.dumps(report.to_dict(), indent=2))
     return EXIT_OK
 
 
 def _cmd_gen(args) -> int:
-    means = _gen_means(args)
+    if args.instance not in GENERATORS:
+        raise ValueError(f"gen requires a generator name, got {args.instance!r}")
+    means = _means(args)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(f"# {args.instance} n={args.n} k={args.k} p={args.p}\n")
         for v in means:
@@ -157,24 +166,16 @@ def _cmd_gen(args) -> int:
 
 def _cmd_run(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
-    cfg = ExperimentConfig(instance=args.instance, k=args.k, n=args.n, p=args.p,
-                           epsilon=args.epsilon, delta=args.delta, budgets=(1,))
-    means = resolve_means(cfg)
-    if not 1 <= args.k < means.size:
-        raise ValueError(f"need 1 <= K < n; got K={args.k}, n={means.size}")
-    if args.algo in ("adaptive-fb", "uniform", "cb-ar") and args.budget is None:
+    means = _selection_means(args)
+    select, takes_budget = ALGORITHMS[args.algo]
+    if takes_budget and args.budget is None:
         raise ValueError(f"--budget is required for {args.algo}")
     budget = args.budget if args.budget is not None else 0
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5F)))
-    perm = rng.permutation(means.size)
-    shuffled = means[perm]
-    env = ArmEnvironment(Instance(shuffled, args.k, args.epsilon, args.delta),
-                         seed=np.random.SeedSequence((seed, 0xE)))
-    selected = sorted(ALGORITHMS[args.algo](env, args.k, args.epsilon, args.delta, budget))
-    order = np.argsort(-shuffled, kind="stable")
-    rank_of = np.empty(means.size, dtype=np.intp)
-    rank_of[order] = np.arange(means.size)
-    regret = aggregate_regret(shuffled[order], args.k, rank_of[selected])
+    env, _, regret_of = setup_trial(means, args.k, args.epsilon, args.delta,
+                                    np.random.SeedSequence((seed, 0x5F)),
+                                    np.random.SeedSequence((seed, 0xE)))
+    selected = sorted(select(env, args.k, args.epsilon, args.delta, budget))
+    regret = regret_of(selected)
     print(json.dumps({
         "algorithm": args.algo,
         "selected": [int(a) for a in selected],
@@ -184,6 +185,15 @@ def _cmd_run(args) -> int:
         "seed": seed,
     }, indent=2))
     return EXIT_OK
+
+
+def _write_out(path, text: str) -> None:
+    """Write CSV text to ``path``, or to standard output when it is None."""
+    if path:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _cmd_experiment(args, argv) -> int:
@@ -198,11 +208,7 @@ def _cmd_experiment(args, argv) -> int:
                 setattr(args, key, val)
     seed = args.seed if args.seed is not None else _default_seed()
     algos = tuple(args.algo) if args.algo else ("adaptive-fb",)
-    probe = ExperimentConfig(instance=args.instance, k=args.k, n=args.n, p=args.p,
-                             epsilon=args.epsilon, delta=args.delta, budgets=(1,))
-    means = resolve_means(probe)
-    if not 1 <= args.k < means.size:
-        raise ValueError(f"need 1 <= K < n; got K={args.k}, n={means.size}")
+    means = _selection_means(args)
     if args.budgets == "auto":
         budgets = default_budget_grid(means, args.k, args.epsilon)
     else:
@@ -214,12 +220,7 @@ def _cmd_experiment(args, argv) -> int:
         workers=args.workers,
     )
     report = run_experiment(config)
-    csv_text = report.to_csv()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(csv_text)
-    else:
-        sys.stdout.write(csv_text)
+    _write_out(args.out, report.to_csv())
     if args.json_out:
         with open(args.json_out, "w", encoding="utf-8") as fh:
             fh.write(report.to_json())
@@ -233,12 +234,7 @@ def _cmd_lowerbound(args) -> int:
     lines = ["m,error,log_error"]
     for m in ms:
         lines.append(f"{m},{optimal_coin_error(m, args.eta)!r},{optimal_coin_log_error(m, args.eta)!r}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_out(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
 

@@ -10,24 +10,18 @@ issued the same sequence of pull requests return bit-identical reward sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "RewardKind",
     "Instance",
     "ArmEnvironment",
+    "EnvironmentView",
     "ComplementEnvironment",
     "EmpiricalState",
 ]
-
-
-class RewardKind(Enum):
-    """Reward families an environment can emit.  Only Bernoulli is supported."""
-
-    BERNOULLI = "bernoulli"
 
 
 @dataclass(frozen=True)
@@ -39,7 +33,7 @@ class Instance:
 
     Args:
         means: Per-arm success probabilities, each in [0, 1].
-        K: Number of arms to select, 1 <= K <= len(means).
+        K: Number of arms to select, an integer with 1 <= K <= len(means).
         epsilon: Regret tolerance, > 0.
         delta: Failure probability budget, in (0, 1).
     """
@@ -53,8 +47,10 @@ class Instance:
         means = np.asarray(self.means, dtype=np.float64).copy()
         if means.ndim != 1 or means.size == 0:
             raise ValueError("means must be a non-empty 1-D vector")
-        if np.any(means < 0.0) or np.any(means > 1.0):
-            raise ValueError("every mean must lie in [0, 1]")
+        if not np.all((means >= 0.0) & (means <= 1.0)):  # NaN fails both
+            raise ValueError("every mean must be a number in [0, 1]")
+        if not isinstance(self.K, numbers.Integral):
+            raise ValueError(f"K must be an integer, got {self.K!r}")
         if not 1 <= self.K <= means.size:
             raise ValueError(f"K={self.K} out of range [1, {means.size}]")
         if not self.epsilon > 0.0:
@@ -84,12 +80,9 @@ class ArmEnvironment:
     Not thread-safe: one environment per concurrent run.
     """
 
-    def __init__(self, instance: Instance, seed, reward_kind: RewardKind = RewardKind.BERNOULLI):
-        if reward_kind is not RewardKind.BERNOULLI:
-            raise ValueError(f"unsupported reward kind: {reward_kind}")
+    def __init__(self, instance: Instance, seed):
         self.instance = instance
         self.seed = seed
-        self.reward_kind = reward_kind
         root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(int(seed))
         reward_ss, algo_ss = root.spawn(2)
         self._rng = np.random.default_rng(reward_ss)
@@ -143,18 +136,13 @@ class ArmEnvironment:
         return np.random.default_rng(self._algo_ss.spawn(1)[0])
 
 
-class ComplementEnvironment:
-    """View of an environment with rewards flipped (x -> 1 - x).
-
-    Pulling arm i here is distributed as Bernoulli(1 - theta_i); counters are
-    shared with the wrapped environment, so pull accounting stays exact.  Used
-    to reduce top-K selection with K > n/2 to bottom-(n-K) selection.
-    """
+class EnvironmentView:
+    """An environment seen through a wrapper: forwards every member to the
+    wrapped environment.  Subclasses override only what they change."""
 
     def __init__(self, inner):
         self._inner = inner
-        comp = 1.0 - inner.instance.means
-        self.instance = Instance(comp, inner.instance.K, inner.instance.epsilon, inner.instance.delta)
+        self.instance = inner.instance
 
     @property
     def n(self) -> int:
@@ -165,16 +153,36 @@ class ComplementEnvironment:
         return self._inner.pull_counts
 
     def pull_batch(self, arm: int, m: int) -> int:
-        return int(m) - self._inner.pull_batch(arm, m)
+        return self._inner.pull_batch(arm, m)
 
     def pull_many(self, arms: np.ndarray, m: int) -> np.ndarray:
-        return int(m) - self._inner.pull_many(arms, m)
+        return self._inner.pull_many(arms, m)
 
     def total_pulls(self) -> int:
         return self._inner.total_pulls()
 
     def spawn_rng(self) -> np.random.Generator:
         return self._inner.spawn_rng()
+
+
+class ComplementEnvironment(EnvironmentView):
+    """View of an environment with rewards flipped (x -> 1 - x).
+
+    Pulling arm i here is distributed as Bernoulli(1 - theta_i); counters are
+    shared with the wrapped environment, so pull accounting stays exact.  Used
+    to reduce top-K selection with K > n/2 to bottom-(n-K) selection.
+    """
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        inst = inner.instance
+        self.instance = Instance(1.0 - inst.means, inst.K, inst.epsilon, inst.delta)
+
+    def pull_batch(self, arm: int, m: int) -> int:
+        return int(m) - self._inner.pull_batch(arm, m)
+
+    def pull_many(self, arms: np.ndarray, m: int) -> np.ndarray:
+        return int(m) - self._inner.pull_many(arms, m)
 
 
 @dataclass

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adaptive import SelectionResult
+from .adaptive import SelectionResult, SelectionRun
 from .env import ComplementEnvironment
 
 __all__ = [
@@ -91,11 +91,10 @@ def _halving_rounds(size: int, k_target: int, tau: float, phi: float, delta: flo
     the first-round parameters is emitted so empirical means always exist.
     """
     tau_r, phi_r, delta_r = tau / 4.0, phi / 4.0, delta / 8.0
-    if size <= k_target:
+    calibration = size <= k_target
+    while calibration or size > k_target:
         yield size, math.ceil(8.0 / (phi_r * phi_r) * math.log(1.0 / (tau_r * delta_r * delta)))
-        return
-    while size > k_target:
-        yield size, math.ceil(8.0 / (phi_r * phi_r) * math.log(1.0 / (tau_r * delta_r * delta)))
+        calibration = False
         size = max(k_target, math.ceil(size / 2))
         tau_r, phi_r, delta_r = 0.75 * tau_r, 0.75 * phi_r, 0.5 * delta_r
 
@@ -106,36 +105,26 @@ def est_kth_arm_cost(size: int, k_target: int, tau: float, phi: float, delta: fl
 
 
 def _halving(env, arms: np.ndarray, k_target: int, tau: float, phi: float, delta: float):
-    """Successive halving keeping the top max(k_target, half) arms per round.
+    """Successive halving keeping the top max(k_target, half) arms per round,
+    on the schedule of :func:`_halving_rounds`.
 
     Returns (kept_ids, kept_means, last_seen_means, pulls) where
     ``last_seen_means`` maps every input arm to the freshest mean observed
-    before it was dropped (or at the end, for survivors).
+    before it was dropped (or at the end, for survivors).  The calibration
+    pass of a set that already fits keeps the input order.
     """
     R = np.asarray(arms, dtype=np.intp)
     last_seen = {}
-    kept_means = None
     pulls = 0
-    tau_r, phi_r, delta_r = tau / 4.0, phi / 4.0, delta / 8.0
-    while len(R) > k_target:
-        m = math.ceil(8.0 / (phi_r * phi_r) * math.log(1.0 / (tau_r * delta_r * delta)))
+    for size, m in _halving_rounds(len(R), k_target, tau, phi, delta):
         means = env.pull_many(R, m) / m
-        pulls += m * len(R)
+        pulls += m * size
         for a, v in zip(R, means):
             last_seen[int(a)] = float(v)
-        keep = max(k_target, math.ceil(len(R) / 2))
-        order = np.argsort(-means, kind="stable")[:keep]
-        R = R[order]
-        kept_means = means[order]
-        tau_r, phi_r, delta_r = 0.75 * tau_r, 0.75 * phi_r, 0.5 * delta_r
-    if kept_means is None:
-        # Set already small enough: one pass so the final rule has means.
-        m = math.ceil(8.0 / (phi_r * phi_r) * math.log(1.0 / (tau_r * delta_r * delta)))
-        kept_means = env.pull_many(R, m) / m
-        pulls += m * len(R)
-        for a, v in zip(R, kept_means):
-            last_seen[int(a)] = float(v)
-    return R, kept_means, last_seen, pulls
+        if size > k_target:
+            keep = np.argsort(-means, kind="stable")[: max(k_target, math.ceil(size / 2))]
+            R, means = R[keep], means[keep]
+    return R, means, last_seen, pulls
 
 
 def est_kth_arm(env, S, K: int, tau: float, phi: float, delta: float, rng=None, log=None):
@@ -187,7 +176,8 @@ def eps_split(env, S, K: int, tau: float, phi: float, delta: float, log=None) ->
     R, _, last_seen, pulls = _halving(env, arms, k_target, tau, phi, delta)
     chosen = [int(a) for a in R]
     if len(chosen) < K:
-        rest = [a for a in arms if int(a) not in set(chosen)]
+        kept = set(chosen)
+        rest = [a for a in arms if int(a) not in kept]
         # "any arms" would do for the contract; the freshest means are free.
         rest.sort(key=lambda a: (-last_seen.get(int(a), -1.0), int(a)))
         chosen.extend(int(a) for a in rest[: K - len(chosen)])
@@ -277,18 +267,6 @@ def opt_mai(env, S, K: int, epsilon: float, delta: float, log=None) -> set:
     return set(int(a) for a in arms[order[:K]])
 
 
-def _finish(env, start_counts, selected, rounds, A, B) -> SelectionResult:
-    per_arm = env.pull_counts - start_counts
-    return SelectionResult(
-        selected=set(int(i) for i in selected),
-        total_pulls=int(per_arm.sum()),
-        per_arm_pulls=per_arm,
-        rounds_completed=rounds,
-        accepted_early=set(A),
-        rejected=set(B),
-    )
-
-
 def improved_topk(env, K: int, epsilon: float, delta: float, rng=None,
                   log: SubroutineBudgetLog = None) -> SelectionResult:
     """Select K arms with aggregate regret <= epsilon, w.p. >= 1 - delta.
@@ -296,22 +274,18 @@ def improved_topk(env, K: int, epsilon: float, delta: float, rng=None,
     For K > n/2 the problem is reflected: the complement environment is asked
     for the bottom n - K arms and the rest are reported.
     """
-    n = env.n
-    if not 0 <= K <= n:
-        raise ValueError(f"K={K} out of range [0, {n}]")
+    run = SelectionRun(env, K)
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
-    start = env.pull_counts.copy()
-    if K == 0 or K == n or epsilon >= 1.0:
-        sel = set(range(n)) if K == n else set(range(K))
-        return _finish(env, start, sel, 0, set(), set())
+    if run.trivial() or epsilon >= 1.0:
+        return run.result(range(K), 0)
+    n = env.n
     if 2 * K > n:
         inner = improved_topk(ComplementEnvironment(env), n - K, epsilon, delta, rng=rng, log=log)
         selected = set(range(n)) - inner.selected
-        return _finish(env, start, selected, inner.rounds_completed,
-                       inner.rejected, inner.accepted_early)
+        return run.result(selected, inner.rounds_completed, inner.rejected, inner.accepted_early)
 
     rng = rng if rng is not None else env.spawn_rng()
     if log is None:
@@ -355,8 +329,7 @@ def improved_topk(env, K: int, epsilon: float, delta: float, rng=None,
                 break
 
         if cond1:
-            return _finish(env, start, opt_mai(env, S, k_rem, phi, delta / 100.0, log=log) | A,
-                           r, A, B)
+            return run.result(opt_mai(env, S, k_rem, phi, delta / 100.0, log=log) | A, r, A, B)
         if cond2:
             tau_split = (K_R - K_L) / k_rem
             if tau_split < 1.0 and _round_half_up((1.0 - tau_split) * k_rem) >= 1:
@@ -365,13 +338,13 @@ def improved_topk(env, K: int, epsilon: float, delta: float, rng=None,
                 # The split ratio collapses on small sets; a direct PAC
                 # selection at the budget's share of the tolerance is safe.
                 chosen = opt_mai(env, S, k_rem, K * epsilon / (10.0 * k_rem), delta / 100.0, log=log)
-            return _finish(env, start, chosen | A, r, A, B)
+            return run.result(chosen | A, r, A, B)
 
         u_size = math.ceil(len(S) / 10)
         if len(S) - u_size < k_rem:
             # Shedding a tenth would cut into arms we must return.
             chosen = opt_mai(env, S, k_rem, K * epsilon / (10.0 * k_rem), delta / 100.0, log=log)
-            return _finish(env, start, chosen | A, r, A, B)
+            return run.result(chosen | A, r, A, B)
         gamma = epsilon * epsilon / (100.0 * r * r)
         d_round = delta / (100.0 * r * r)
         U = elim(env, S, k_rem, gamma, phi, d_round, log=log)
@@ -388,4 +361,4 @@ def improved_topk(env, K: int, epsilon: float, delta: float, rng=None,
         assert len(A) + len(B) + len(S) == n
         assert A.isdisjoint(B) and A.isdisjoint(S) and B.isdisjoint(S)
 
-    return _finish(env, start, A, r, A, B)
+    return run.result(A, r, A, B)

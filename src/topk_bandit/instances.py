@@ -11,6 +11,8 @@ import os
 
 import numpy as np
 
+from .hardness import _require_sorted
+
 __all__ = [
     "gen_two_group",
     "gen_uniform",
@@ -18,9 +20,6 @@ __all__ = [
     "load_means",
     "check_c_spread",
 ]
-
-# Pairwise spread checks are O(n^2); refuse silly input sizes.
-_SPREAD_MAX_N = 10_000
 
 
 def gen_two_group(n: int, K: int) -> np.ndarray:
@@ -97,39 +96,21 @@ def check_c_spread(means: np.ndarray, c: float, tol: float = 1e-9) -> bool:
     progressions computed in floating point (e.g. the evenly spaced family
     with c=1) are not rejected over rounding noise.
 
-    For c == 1 the definition forces an exact progression with step 1/n, so an
-    O(n) scan of adjacent pairs plus the global endpoints suffices; general c
-    uses the O(n^2) pairwise definition and is guarded to n <= 10^4.
+    The pairwise definition is checked exactly in O(n) time and memory: with
+    u_k = theta_k + k/(c*n) and w_k = theta_k + c*k/n, the lower bound holds
+    for every pair iff each u_j is at most tol above the smallest earlier
+    u_i, and the upper bound iff each w_j is at least the largest earlier w_i
+    less tol.
 
     Raises:
         ValueError: if ``means`` is not sorted non-increasing or c < 1.
     """
-    means = np.asarray(means, dtype=np.float64)
-    if means.ndim != 1 or means.size == 0:
-        raise ValueError("means must be a non-empty 1-D vector")
-    if np.any(np.diff(means) > 0):
-        raise ValueError("means must be sorted non-increasing")
+    means = _require_sorted(means)
     if c < 1.0:
         raise ValueError("c must be >= 1")
     n = means.size
-    if n == 1:
-        return True
-
-    if c == 1.0:
-        step = 1.0 / n
-        adjacent = -np.diff(means)
-        if np.any(np.abs(adjacent - step) > tol):
-            return False
-        # Adjacent agreement bounds pairwise drift by n*tol; pin the endpoints.
-        return abs((means[0] - means[-1]) - (n - 1) * step) <= max(tol, n * tol / 2)
-
-    if n > _SPREAD_MAX_N:
-        raise ValueError(f"pairwise spread check limited to n <= {_SPREAD_MAX_N}")
-    diffs = means[:, None] - means[None, :]
-    idx = np.arange(n, dtype=np.float64)
-    dist = np.abs(idx[:, None] - idx[None, :])
-    iu = np.triu_indices(n, k=1)
-    gap = np.abs(diffs[iu])
-    lo = dist[iu] / (c * n) - tol
-    hi = c * dist[iu] / n + tol
-    return bool(np.all(gap >= lo) and np.all(gap <= hi))
+    k = np.arange(n, dtype=np.float64)
+    u = means + k / (c * n)
+    w = means + c * k / n
+    return bool(np.all(u[1:] <= np.minimum.accumulate(u)[:-1] + tol)
+                and np.all(np.maximum.accumulate(w)[:-1] <= w[1:] + tol))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .env import ArmEnvironment, Instance
+from .env import ArmEnvironment, EnvironmentView, Instance
 
 __all__ = [
     "Hidden",
@@ -197,22 +197,13 @@ class _GiveUp(Exception):
     """Raised when the watched arm's toss budget is exceeded."""
 
 
-class _CapWatchdog:
-    """Environment proxy that aborts the run when one arm is pulled too often."""
+class _CapWatchdog(EnvironmentView):
+    """Environment view that aborts the run when one arm is pulled too often."""
 
     def __init__(self, inner, watched_arm: int, cap: int):
-        self._inner = inner
+        super().__init__(inner)
         self._arm = int(watched_arm)
         self._cap = int(cap)
-        self.instance = inner.instance
-
-    @property
-    def n(self) -> int:
-        return self._inner.n
-
-    @property
-    def pull_counts(self) -> np.ndarray:
-        return self._inner.pull_counts
 
     def _check(self, extra: int) -> None:
         if self._inner.pull_counts[self._arm] + extra > self._cap:
@@ -228,12 +219,6 @@ class _CapWatchdog:
         if np.any(arms == self._arm):
             self._check(int(m))
         return self._inner.pull_many(arms, m)
-
-    def total_pulls(self) -> int:
-        return self._inner.total_pulls()
-
-    def spawn_rng(self):
-        return self._inner.spawn_rng()
 
 
 def reduction_run(algorithm, n: int, K: int, eta: float, epsilon: float, C: int,

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from topk_bandit.env import ArmEnvironment, Instance
-from topk_bandit.hardness import aggregate_regret
+from topk_bandit.bench import setup_trial
 
 
 def shuffled_trial(means, K, epsilon, delta, seed_key):
@@ -11,21 +10,8 @@ def shuffled_trial(means, K, epsilon, delta, seed_key):
     Returns (env, shuffled_means, regret_fn) where regret_fn maps a selected
     arm set (environment indices) to its aggregate regret against the truth.
     """
-    means = np.asarray(means, dtype=np.float64)
-    ss = np.random.SeedSequence(seed_key)
-    shuffle_ss, env_ss = ss.spawn(2)
-    perm = np.random.default_rng(shuffle_ss).permutation(means.size)
-    shuffled = means[perm]
-    env = ArmEnvironment(Instance(shuffled, K, epsilon, delta), seed=env_ss)
-    order = np.argsort(-shuffled, kind="stable")
-    rank_of = np.empty(means.size, dtype=np.intp)
-    rank_of[order] = np.arange(means.size)
-    sorted_means = shuffled[order]
-
-    def regret(selected):
-        return aggregate_regret(sorted_means, K, rank_of[sorted(selected)])
-
-    return env, shuffled, regret
+    shuffle_ss, env_ss = np.random.SeedSequence(seed_key).spawn(2)
+    return setup_trial(means, K, epsilon, delta, shuffle_ss, env_ss)
 
 
 def success_rate(means, K, epsilon, delta, trials, run, seed0=0):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from topk_bandit.bench import ALGORITHMS
 from topk_bandit.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from topk_bandit.instances import load_means
 
@@ -65,11 +66,22 @@ def test_run_single_trial_json(capsys):
     assert doc["success"] is True
 
 
-def test_run_requires_budget_for_fixed_budget_algos(capsys):
+@pytest.mark.parametrize("algo", sorted(n for n, (_, takes_budget) in ALGORITHMS.items() if takes_budget))
+def test_run_requires_budget_for_fixed_budget_algos(capsys, algo):
     code, _, err = run_cli(capsys, "run", "--instance", "two-group", "--n", "20",
-                           "--k", "5", "--algo", "uniform")
+                           "--k", "5", "--algo", algo)
     assert code == EXIT_DATA
-    assert "budget" in err
+    assert f"--budget is required for {algo}" in err
+
+
+def test_gen_rejects_a_mean_file(capsys, tmp_path):
+    means_file = tmp_path / "means.txt"
+    means_file.write_text("0.9\n0.1\n")
+    code, _, err = run_cli(capsys, "gen", "--instance", str(means_file), "--k", "1",
+                           "--out", str(tmp_path / "out.txt"))
+    assert code == EXIT_DATA
+    assert "generator name" in err
+    assert not (tmp_path / "out.txt").exists()
 
 
 def test_experiment_writes_deterministic_csv(capsys, tmp_path):

@@ -26,6 +26,23 @@ class TestInstance:
         with pytest.raises(ValueError):
             Instance(np.array([0.5]), 1, 0.1, 1.0)
 
+    @pytest.mark.parametrize("means, K, message", [
+        ([0.5, np.nan], 1, "number in"),
+        ([np.inf, 0.5], 1, "number in"),
+        ([0.5, -np.inf], 1, "number in"),
+        ([0.5, 0.2, 0.1], 1.7, "integer"),
+        ([0.5, 0.2, 0.1], 2.0, "integer"),
+        ([0.5, 0.2, 0.1], "2", "integer"),
+    ])
+    def test_rejects_non_finite_means_and_non_integral_k(self, means, K, message):
+        with pytest.raises(ValueError, match=message):
+            Instance(np.array(means), K, 0.1, 0.1)
+
+    def test_accepts_python_and_numpy_integer_k(self):
+        for K in (2, np.int64(2), np.int32(2), np.uint8(2)):
+            inst = Instance(np.array([0.5, 0.2, 0.1]), K, 0.1, 0.1)
+            assert inst.K == 2 and type(inst.K) is int
+
     def test_means_frozen(self):
         inst = Instance(np.array([0.5, 0.2]), 1, 0.1, 0.1)
         with pytest.raises(ValueError):

@@ -86,6 +86,16 @@ class TestLoadMeans:
             load_means(tmp_path / "nope.txt")
 
 
+def pairwise_c_spread(means, c, tol):
+    """Reference: the O(n^2) pairwise definition of c-spread."""
+    n = means.size
+    iu = np.triu_indices(n, k=1)
+    gap = np.abs(means[:, None] - means[None, :])[iu]
+    idx = np.arange(n, dtype=np.float64)
+    dist = np.abs(idx[:, None] - idx[None, :])[iu]
+    return bool(np.all(gap >= dist / (c * n) - tol) and np.all(gap <= c * dist / n + tol))
+
+
 class TestCSpread:
     def test_uniform_is_1_spread(self):
         for n in (2, 10, 1000):
@@ -112,7 +122,40 @@ class TestCSpread:
         means = np.array([0.8, 0.6, 0.6, 0.2])
         assert not check_c_spread(means, 2.0)
 
-    def test_pairwise_size_guard(self):
-        big = np.sort(np.linspace(0, 1, 10_001))[::-1]
-        with pytest.raises(ValueError, match="limited"):
-            check_c_spread(big, 2.0)
+    def test_large_n_has_no_size_limit(self):
+        big = np.sort(np.linspace(0, 1, 100_000))[::-1]
+        assert check_c_spread(big, 2.0)
+        assert not check_c_spread(np.concatenate([big[:50_000], big[49_999:]]), 2.0)  # a tie
+
+    @pytest.mark.parametrize("tol", [1e-9, 0.0])
+    def test_general_c_matches_pairwise_definition(self, tol):
+        rng = np.random.default_rng(31)
+        verdicts = []
+        for _ in range(1500):
+            n = int(rng.integers(2, 40))
+            c = float(rng.choice([1.0, rng.uniform(1.01, 2.0)]))
+            jitter = rng.normal(0.0, rng.choice([1e-12, 0.05, 0.2, 0.5]), n)
+            means = np.sort(1.0 - (np.arange(n) + jitter) / n)[::-1]
+            expected = pairwise_c_spread(means, c, tol)
+            assert check_c_spread(means, c, tol) == expected
+            verdicts.append(expected)
+        assert 0.2 < np.mean(verdicts) < 0.8
+
+    def test_tolerance_does_not_accumulate_over_pairs(self):
+        # Every adjacent gap is within tol of the lower bound, but two steps
+        # together fall short by more than tol.
+        n, c, tol = 10, 2.0, 1e-3
+        means = 1.0 - np.arange(n) * (1.0 / (c * n) - 0.6 * tol)
+        assert not pairwise_c_spread(means, c, tol)
+        assert not check_c_spread(means, c, tol)
+
+    def test_c_1_drift_between_exact_endpoints_is_rejected(self):
+        # Adjacent gaps within tol of 1/n and exact endpoints, but the first
+        # half drifts 9 * 0.9 tol away from the progression.
+        n, tol = 20, 1e-6
+        gaps = np.full(n - 1, 1.0 / n)
+        gaps[:9] += 0.9 * tol
+        gaps[10:] -= 0.9 * tol
+        means = 1.0 - np.concatenate([[0.0], np.cumsum(gaps)])
+        assert not pairwise_c_spread(means, 1.0, tol)
+        assert not check_c_spread(means, 1.0, tol)
