@@ -21,6 +21,7 @@ default.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,16 +81,23 @@ class SelectionRun:
         return self.K in (0, self.env.n)
 
     def result(self, selected, rounds_completed: int, accepted=(), rejected=()) -> SelectionResult:
+        """Build the result; each id collection may be an array or an
+        iterable of ints, and becomes a set of Python ints."""
         per_arm = self.env.pull_counts - self._start
         return SelectionResult(
-            selected=set(int(i) for i in selected),
+            selected=_id_set(selected),
             total_pulls=int(per_arm.sum()),
             per_arm_pulls=per_arm,
             rounds_completed=rounds_completed,
-            accepted_early=set(accepted),
-            rejected=set(rejected),
+            accepted_early=_id_set(accepted),
+            rejected=_id_set(rejected),
             rounds=self.rounds,
         )
+
+
+def _id_set(ids) -> set:
+    # An array converts in one call rather than one int() per element.
+    return set(ids.tolist() if isinstance(ids, np.ndarray) else (int(i) for i in ids))
 
 
 def _schedule(r: int, tuned: bool) -> float:
@@ -124,29 +132,38 @@ class _SortedPool:
 
 
 def _commit_sweep(pool: _SortedPool, k_rem: int, threshold: float, accepted: list, rejected: list) -> int:
-    """Run the inner accept/reject loop; returns the updated k_rem.
+    """Commit arms at the selection boundary; returns the updated k_rem.
 
-    One arm is committed per iteration: the arm maximizing
-    max(mean_i - boundary_above, boundary_below - mean_i), whenever that
-    maximum strictly exceeds ``threshold``.  Boundary positions shift as the
-    pool and k_rem shrink, so they are re-read every iteration.
+    The sweep commits, one at a time, the arm maximizing
+    max(mean_i - a, b - mean_i), a and b being the (k_rem + 1)-th and k_rem-th
+    largest means, while that maximum exceeds ``threshold`` (ties accept).
+    An accept moves ``lo`` and ``k_rem`` together and a reject moves only
+    ``hi``, so p = lo + k_rem, a = vals[p] and b = vals[p - 1] stay fixed: the
+    sweep merges the non-increasing gaps vals[i] - a (i in [lo, p)) and
+    b - vals[j] (j from hi down to p), which both end at b - a.  Hence, by
+    binary search on those exact float expressions, it accepts
+    #{i : vals[i] - a > threshold} arms; if that leaves slots open it rejects
+    #{j : b - vals[j] > threshold}, and if it fills them it stops at its
+    last accept and rejects #{j : b - vals[j] > b - a}.
+
+    Appends the accepted ids (best first) and the rejected ids (worst first)
+    as one array each.
     """
-    while k_rem >= 1 and pool.size() > k_rem:
-        a_val = pool.vals[pool.lo + k_rem]      # (k_rem + 1)-th largest mean
-        b_val = pool.vals[pool.lo + k_rem - 1]  # k_rem-th largest mean
-        top_gap = pool.vals[pool.lo] - a_val
-        bot_gap = b_val - pool.vals[pool.hi]
-        if top_gap <= threshold and bot_gap <= threshold:
-            break
-        if top_gap >= bot_gap:
-            # top element clears the boundary from above: accept
-            accepted.append(int(pool.ids[pool.lo]))
-            pool.lo += 1
-            k_rem -= 1
-        else:
-            rejected.append(int(pool.ids[pool.hi]))
-            pool.hi -= 1
-    return k_rem
+    lo, hi = pool.lo, pool.hi
+    p = lo + k_rem
+    if k_rem < 1 or hi < p:
+        return k_rem
+    vals = pool.vals
+    a, b = vals[p], vals[p - 1]
+    n_acc = bisect_left(range(lo, p), True, key=lambda i: vals[i] - a <= threshold)
+    limit = threshold if n_acc < k_rem else b - a
+    n_rej = hi + 1 - p - bisect_left(range(p, hi + 1), True, key=lambda j: b - vals[j] > limit)
+    # Copies: a view would keep the round's whole pool alive.
+    accepted.append(pool.ids[lo : lo + n_acc].copy())
+    rejected.append(pool.ids[hi - n_rej + 1 : hi + 1][::-1].copy())
+    pool.lo = lo + n_acc
+    pool.hi = hi - n_rej
+    return k_rem - n_acc
 
 
 def _round_loop(env, K: int, delta: float, tuned: bool, records, more, observe=None):
@@ -157,13 +174,13 @@ def _round_loop(env, K: int, delta: float, tuned: bool, records, more, observe=N
     round would take; ``observe(arms, m, sums)``, when given, sees every
     round's reward sums.  Rounds also stop once every slot is decided.
 
-    Returns (accepted, rejected, survivors, k_rem, r): ``survivors`` are the
-    undecided arms, best first by the last round's means (in input order
-    when no round ran).
+    Returns (accepted, rejected, survivors, k_rem, r), the first three as id
+    arrays: ``survivors`` are the undecided arms, best first by the last
+    round's means (in input order when no round ran).
     """
     n = env.n
-    accepted: list = []
-    rejected: list = []
+    accepted: list = [np.empty(0, dtype=np.intp)]  # one id array per sweep
+    rejected: list = [np.empty(0, dtype=np.intp)]
     survivors = np.arange(n)
     r = 0
     k_rem = K
@@ -183,8 +200,8 @@ def _round_loop(env, K: int, delta: float, tuned: bool, records, more, observe=N
         threshold = scale / 3.0 if tuned else 2.0 * scale
         k_rem = _commit_sweep(pool, k_rem, threshold, accepted, rejected)
         survivors = pool.surviving()
-        assert pool.size() + len(accepted) + len(rejected) == n
-    return accepted, rejected, survivors, k_rem, r
+        assert pool.size() + sum(map(len, accepted)) + sum(map(len, rejected)) == n
+    return np.concatenate(accepted), np.concatenate(rejected), survivors, k_rem, r
 
 
 def adaptive_topk(env, K: int, epsilon: float, delta: float, tuned: bool = False,
@@ -214,7 +231,7 @@ def adaptive_topk(env, K: int, epsilon: float, delta: float, tuned: bool = False
     accepted, rejected, survivors, k_rem, r = _round_loop(
         env, K, delta, tuned, run.rounds,
         lambda r, k_rem, cost: 2.0 * _schedule(r, tuned) * k_rem > epsilon * K)
-    return run.result(accepted + list(survivors[:k_rem]), r, accepted, rejected)
+    return run.result(np.concatenate([accepted, survivors[:k_rem]]), r, accepted, rejected)
 
 
 def adaptive_topk_fixed_budget(env, K: int, budget: int, delta: float = 0.01,
@@ -262,4 +279,4 @@ def adaptive_topk_fixed_budget(env, K: int, budget: int, delta: float = 0.01,
         if extra:
             state.add_many(survivors[:extra], 1, env.pull_many(survivors[:extra], 1))
         survivors = survivors[np.argsort(-state.means()[survivors], kind="stable")]
-    return run.result(accepted + list(survivors[:k_rem]), r, accepted, rejected)
+    return run.result(np.concatenate([accepted, survivors[:k_rem]]), r, accepted, rejected)

@@ -65,13 +65,12 @@ def cb_accept_reject_topk(env, K: int, budget: int) -> SelectionResult:
 
     accepted: set = set()
     rejected: set = set()
-    undecided = list(range(n))
+    u = np.arange(n)  # undecided arms, in id order
 
     while remaining > 0:
         k_rem = K - len(accepted)
-        if k_rem == 0 or len(undecided) <= k_rem:
+        if k_rem == 0 or len(u) <= k_rem:
             break
-        u = np.asarray(undecided)
         means = state.sums[u] / state.counts[u]
         T = max(env.total_pulls(), 2)
         radius = np.sqrt(np.log(_CB_C * n * T * T) / (2.0 * state.counts[u]))
@@ -84,13 +83,12 @@ def cb_accept_reject_topk(env, K: int, budget: int) -> SelectionResult:
         tail = order[k_rem:]
         lcb = means - radius
         ucb = means + radius
-        new_accept = [int(u[i]) for i in head if lcb[i] > ucb[tail].max()]
-        new_reject = [int(u[i]) for i in tail if ucb[i] < lcb[head].min()]
-        if new_accept or new_reject:
-            accepted.update(new_accept)
-            rejected.update(new_reject)
-            done = set(new_accept) | set(new_reject)
-            undecided = [a for a in undecided if a not in done]
+        take = head[lcb[head] > ucb[tail].max()]
+        drop = tail[ucb[tail] < lcb[head].min()]
+        if len(take) or len(drop):
+            accepted.update(u[take].tolist())
+            rejected.update(u[drop].tolist())
+            u = np.delete(u, np.concatenate([take, drop]))
             continue
 
         margins = np.abs(means - boundary) - radius
@@ -101,10 +99,9 @@ def cb_accept_reject_topk(env, K: int, budget: int) -> SelectionResult:
 
     k_rem = K - len(accepted)
     if k_rem > 0:
-        u = np.asarray(undecided)
         means = state.sums[u] / state.counts[u]
         order = np.argsort(-means, kind="stable")
-        final = set(accepted) | set(int(u[i]) for i in order[:k_rem])
+        final = set(accepted) | set(u[order[:k_rem]].tolist())
     else:
         final = set(accepted)
     return run.result(final, 1, accepted, rejected)

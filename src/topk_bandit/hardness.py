@@ -90,14 +90,27 @@ def gaps(means: np.ndarray, K: int) -> np.ndarray:
     return out
 
 
-def _t_conditions(gap: np.ndarray, K: int, epsilon: float, t: int) -> bool:
-    """Both exchange-budget inequalities for a candidate t (tail index clamped)."""
-    n = gap.size
-    head = gap[K - t - 1] * t  # gap of rank K-t (1-indexed)
-    tail_rank = min(K + t + 1, n)
-    tail = gap[tail_rank - 1] * t
+def _boundary(means: np.ndarray, K: int, epsilon: float):
+    """Gap vector, t, psi_t and whether the tail index was clamped, for
+    validated means and K.
+
+    t is the largest t in {1, ..., K-1} passing both exchange-budget
+    inequalities, gap(rank K-t) * t <= K * epsilon and
+    gap(rank K+t+1) * t <= K * epsilon (tail rank clamped to n), or 0 when
+    none does.
+    """
+    if epsilon < 0:
+        raise ValueError("epsilon must be non-negative")
+    n = means.size
+    gap = gaps(means, K)
+    ts = np.arange(1, K)
     budget = K * epsilon
-    return head <= budget and tail <= budget
+    ok = (gap[K - ts - 1] * ts <= budget) & (gap[np.minimum(K + ts + 1, n) - 1] * ts <= budget)
+    passing = ts[ok]
+    t = int(passing[-1]) if passing.size else 0
+    tail_rank = min(K + t + 1, n)
+    psi_t = min(float(gap[K - t - 1]), float(gap[tail_rank - 1]))
+    return gap, t, psi_t, K + t + 1 > n
 
 
 def t_of(means: np.ndarray, K: int, epsilon: float) -> int:
@@ -107,57 +120,42 @@ def t_of(means: np.ndarray, K: int, epsilon: float) -> int:
     """
     means = _require_sorted(means)
     _require_k(means, K)
-    if epsilon < 0:
-        raise ValueError("epsilon must be non-negative")
-    gap = gaps(means, K)
-    best = 0
-    for t in range(1, K):
-        if _t_conditions(gap, K, epsilon, t):
-            best = t
-    return best
+    return _boundary(means, K, epsilon)[1]
 
 
 def psi_quantities(means: np.ndarray, K: int, epsilon: float):
     """Boundary-gap floor and its epsilon cap: (psi_t, max(epsilon, psi_t))."""
     means = _require_sorted(means)
     _require_k(means, K)
-    gap = gaps(means, K)
-    t = t_of(means, K, epsilon)
-    tail_rank = min(K + t + 1, means.size)
-    psi_t = min(float(gap[K - t - 1]), float(gap[tail_rank - 1]))
+    psi_t = _boundary(means, K, epsilon)[2]
     return psi_t, max(float(epsilon), psi_t)
+
+
+def _capped_sum(inv: np.ndarray, cap: float) -> float:
+    # Sequential, left to right, as a scalar loop would add: np.sum's
+    # pairwise order could differ in the last bits.
+    return float(np.cumsum(np.minimum(inv, cap))[-1])
 
 
 def hardness(means: np.ndarray, K: int, epsilon: float) -> HardnessReport:
     """Full difficulty report: gaps, t, psi quantities, and both capped sums.
 
-    The sums run left to right in rank order with scalar arithmetic so that
-    independent re-evaluations of the same formulas agree bit-for-bit.
+    The sums run left to right in rank order, so that independent
+    re-evaluations of the same formulas agree bit-for-bit.
     """
     means = _require_sorted(means)
     _require_k(means, K)
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    gap = gaps(means, K)
-    t = t_of(means, K, epsilon)
-    tail_rank = min(K + t + 1, means.size)
-    clamped = (K + t + 1) > means.size
-    psi_t = min(float(gap[K - t - 1]), float(gap[tail_rank - 1]))
+    gap, t, psi_t, clamped = _boundary(means, K, epsilon)
     psi_eps = max(float(epsilon), psi_t)
 
-    cap_t = 1.0 / (psi_eps * psi_eps)
-    cap_0 = 1.0 / (float(epsilon) * float(epsilon))
-    h_t = 0.0
-    h_0 = 0.0
-    for g in gap:
-        g = float(g)
-        if g > 0.0:
-            inv = 1.0 / (g * g)
-            h_t += min(inv, cap_t)
-            h_0 += min(inv, cap_0)
-        else:
-            h_t += cap_t
-            h_0 += cap_0
+    # A zero gap (or one whose square underflows) has an infinite inverse,
+    # which the cap replaces.
+    with np.errstate(divide="ignore"):
+        inv = 1.0 / (gap * gap)
+    h_t = _capped_sum(inv, 1.0 / (psi_eps * psi_eps))
+    h_0 = _capped_sum(inv, 1.0 / (float(epsilon) * float(epsilon)))
     return HardnessReport(gap, t, psi_t, psi_eps, h_t, h_0, clamped)
 
 
@@ -169,7 +167,9 @@ def aggregate_regret(means: np.ndarray, K: int, selected) -> float:
     floating-point dust on perfect selections.
     """
     means = _require_sorted(means)
-    sel = np.asarray(sorted(int(i) for i in selected), dtype=np.intp)
+    if not 1 <= K <= means.size:
+        raise ValueError(f"need 1 <= K <= n; got K={K}, n={means.size}")
+    sel = np.asarray(selected if isinstance(selected, np.ndarray) else list(selected), dtype=np.intp)
     if sel.size != K:
         raise ValueError(f"selected set has size {sel.size}, expected K={K}")
     if np.unique(sel).size != sel.size:

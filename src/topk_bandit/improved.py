@@ -108,23 +108,24 @@ def _halving(env, arms: np.ndarray, k_target: int, tau: float, phi: float, delta
     """Successive halving keeping the top max(k_target, half) arms per round,
     on the schedule of :func:`_halving_rounds`.
 
-    Returns (kept_ids, kept_means, last_seen_means, pulls) where
-    ``last_seen_means`` maps every input arm to the freshest mean observed
-    before it was dropped (or at the end, for survivors).  The calibration
-    pass of a set that already fits keeps the input order.
+    Returns (kept, kept_means, last_seen, pulls): ``kept`` holds the
+    survivors' positions in ``arms``, best first, and ``last_seen`` is an
+    array aligned with ``arms`` giving every input arm the freshest mean
+    observed before it was dropped (or at the end, for survivors).  The
+    calibration pass of a set that already fits keeps the input order.
     """
-    R = np.asarray(arms, dtype=np.intp)
-    last_seen = {}
+    arms = np.asarray(arms, dtype=np.intp)
+    kept = np.arange(len(arms))
+    last_seen = np.empty(len(arms))
     pulls = 0
-    for size, m in _halving_rounds(len(R), k_target, tau, phi, delta):
-        means = env.pull_many(R, m) / m
+    for size, m in _halving_rounds(len(arms), k_target, tau, phi, delta):
+        means = env.pull_many(arms[kept], m) / m
         pulls += m * size
-        for a, v in zip(R, means):
-            last_seen[int(a)] = float(v)
+        last_seen[kept] = means
         if size > k_target:
             keep = np.argsort(-means, kind="stable")[: max(k_target, math.ceil(size / 2))]
-            R, means = R[keep], means[keep]
-    return R, means, last_seen, pulls
+            kept, means = kept[keep], means[keep]
+    return kept, means, last_seen, pulls
 
 
 def est_kth_arm(env, S, K: int, tau: float, phi: float, delta: float, rng=None, log=None):
@@ -143,16 +144,16 @@ def est_kth_arm(env, S, K: int, tau: float, phi: float, delta: float, rng=None, 
     for name, v in (("tau", tau), ("phi", phi), ("delta", delta)):
         if not 0.0 < v < 1.0:
             raise ValueError(f"{name} must lie in (0, 1)")
-    R, means, _, pulls = _halving(env, arms, K, tau, phi, delta)
+    kept, means, _, pulls = _halving(env, arms, K, tau, phi, delta)
     order = np.argsort(-means, kind="stable")
-    cut = _clamp(_round_half_down((1.0 - tau / 2.0) * K), 1, len(R))
+    cut = _clamp(_round_half_down((1.0 - tau / 2.0) * K), 1, len(kept))
     cut_val = means[order[cut - 1]]
     candidates = np.flatnonzero(means <= cut_val)
     rng = rng if rng is not None else env.spawn_rng()
     pick = int(candidates[rng.integers(len(candidates))])
     if log is not None:
         log.record(SubroutineCall("est-kth", len(arms), K, phi, tau=tau, delta=delta, pulls_used=pulls))
-    return int(R[pick]), float(means[pick])
+    return int(arms[kept[pick]]), float(means[pick])
 
 
 def eps_split(env, S, K: int, tau: float, phi: float, delta: float, log=None) -> set:
@@ -173,17 +174,18 @@ def eps_split(env, S, K: int, tau: float, phi: float, delta: float, log=None) ->
     if not 0.0 < tau < 1.0:
         raise ValueError("tau must lie in (0, 1)")
     k_target = _clamp(_round_half_up((1.0 - tau) * K), 1, K)
-    R, _, last_seen, pulls = _halving(env, arms, k_target, tau, phi, delta)
-    chosen = [int(a) for a in R]
-    if len(chosen) < K:
-        kept = set(chosen)
-        rest = [a for a in arms if int(a) not in kept]
+    kept, _, last_seen, pulls = _halving(env, arms, k_target, tau, phi, delta)
+    if len(kept) < K:
         # "any arms" would do for the contract; the freshest means are free.
-        rest.sort(key=lambda a: (-last_seen.get(int(a), -1.0), int(a)))
-        chosen.extend(int(a) for a in rest[: K - len(chosen)])
+        # ``arms`` is sorted, so a stable sort breaks ties by arm id.
+        rest = np.ones(len(arms), dtype=bool)
+        rest[kept] = False
+        rest = np.flatnonzero(rest)
+        top_up = rest[np.argsort(-last_seen[rest], kind="stable")[: K - len(kept)]]
+        kept = np.concatenate([kept, top_up])
     if log is not None:
         log.record(SubroutineCall("eps-split", len(arms), K, phi, tau=tau, delta=delta, pulls_used=pulls))
-    return set(chosen)
+    return set(arms[kept].tolist())
 
 
 def _elim_pulls(phi: float, gamma: float, delta: float) -> int:
@@ -237,8 +239,13 @@ def reverse_elim(env, S, K: int, gamma: float, phi: float, delta: float, log=Non
     return _elim_core(env, S, gamma, phi, delta, reverse=True, log=log, name="reverse-elim")
 
 
+def _opt_mai_pulls(size: int, epsilon: float, delta: float) -> int:
+    # Per-arm count for which a union bound over the set closes at epsilon.
+    return math.ceil(2.0 / (epsilon * epsilon) * math.log(2.0 * size / delta))
+
+
 def opt_mai_cost(size: int, epsilon: float, delta: float) -> int:
-    return size * math.ceil(2.0 / (epsilon * epsilon) * math.log(2.0 * size / delta))
+    return size * _opt_mai_pulls(size, epsilon, delta)
 
 
 def opt_mai(env, S, K: int, epsilon: float, delta: float, log=None) -> set:
@@ -258,7 +265,7 @@ def opt_mai(env, S, K: int, epsilon: float, delta: float, log=None) -> set:
         return set()
     if K == len(arms) or epsilon >= 1.0:
         return set(int(a) for a in arms[:K])
-    m = math.ceil(2.0 / (epsilon * epsilon) * math.log(2.0 * len(arms) / delta))
+    m = _opt_mai_pulls(len(arms), epsilon, delta)
     means = env.pull_many(arms, m) / m
     order = np.argsort(-means, kind="stable")
     if log is not None:

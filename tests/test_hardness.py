@@ -163,6 +163,11 @@ class TestAggregateRegret:
         with pytest.raises(ValueError):
             aggregate_regret(M4, 2, [0, 9])
 
+    @pytest.mark.parametrize("K, selected", [(0, []), (-1, []), (5, [0, 1, 2, 3, 0]), (5, range(5))])
+    def test_k_out_of_range_rejected(self, K, selected):
+        with pytest.raises(ValueError, match=r"1 <= K <= n"):
+            aggregate_regret(M4, K, selected)
+
     def test_never_negative(self, rng):
         for _ in range(50):
             n = int(rng.integers(2, 30))
