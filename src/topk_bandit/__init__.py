@@ -8,10 +8,9 @@ calculator, and a seeded, reproducible benchmark harness.
 from .adaptive import SelectionResult, adaptive_topk, adaptive_topk_fixed_budget
 from .baselines import cb_accept_reject_topk, uniform_topk
 from .bench import ExperimentConfig, ExperimentReport, default_budget_grid, run_experiment
-from .env import ArmEnvironment, ComplementEnvironment, EmpiricalState, Instance
+from .env import ArmEnvironment, ComplementEnvironment, EmpiricalState, Instance, PullTrace
 from .hardness import HardnessReport, aggregate_regret, gaps, hardness, is_eps_top_k, psi_quantities, t_of
 from .improved import (
-    SubroutineBudgetLog,
     elim,
     eps_split,
     est_kth_arm,
@@ -43,8 +42,8 @@ __all__ = [
     "HardnessReport",
     "Hidden",
     "Instance",
+    "PullTrace",
     "SelectionResult",
-    "SubroutineBudgetLog",
     "adaptive_topk",
     "adaptive_topk_fixed_budget",
     "aggregate_regret",

@@ -28,18 +28,7 @@ import numpy as np
 
 from .env import EmpiricalState
 
-__all__ = ["RoundRecord", "SelectionResult", "adaptive_topk", "adaptive_topk_fixed_budget"]
-
-
-@dataclass
-class RoundRecord:
-    """Telemetry for one pulling round (populated when record_rounds=True)."""
-
-    index: int
-    scale: float
-    pulls_per_arm: int
-    arms: np.ndarray
-    means: np.ndarray
+__all__ = ["SelectionResult", "adaptive_topk", "adaptive_topk_fixed_budget"]
 
 
 @dataclass
@@ -57,23 +46,20 @@ class SelectionResult:
     rounds_completed: int
     accepted_early: set = field(default_factory=set)
     rejected: set = field(default_factory=set)
-    rounds: list = None
 
 
 class SelectionRun:
     """Pull accounting for one selection call; the only builder of results.
 
     Checks 0 <= K <= env.n and snapshots the pull counters, so the result
-    reports only the pulls made after construction.  ``rounds`` is the list
-    that round telemetry goes into (None when not recorded).
+    reports only the pulls made after construction.
     """
 
-    def __init__(self, env, K: int, rounds: list = None):
+    def __init__(self, env, K: int):
         if not 0 <= K <= env.n:
             raise ValueError(f"K={K} out of range [0, {env.n}]")
         self.env = env
         self.K = K
-        self.rounds = rounds
         self._start = env.pull_counts.copy()
 
     def trivial(self) -> bool:
@@ -91,7 +77,6 @@ class SelectionRun:
             rounds_completed=rounds_completed,
             accepted_early=_id_set(accepted),
             rejected=_id_set(rejected),
-            rounds=self.rounds,
         )
 
 
@@ -166,7 +151,7 @@ def _commit_sweep(pool: _SortedPool, k_rem: int, threshold: float, accepted: lis
     return k_rem - n_acc
 
 
-def _round_loop(env, K: int, delta: float, tuned: bool, records, more, observe=None):
+def _round_loop(env, K: int, delta: float, tuned: bool, more, observe=None):
     """Pulling rounds with commit sweeps, shared by both selectors.
 
     Before each round, ``more(r, k_rem, cost)`` decides whether to run it,
@@ -193,10 +178,7 @@ def _round_loop(env, K: int, delta: float, tuned: bool, records, more, observe=N
         sums = env.pull_many(survivors, m)
         if observe is not None:
             observe(survivors, m, sums)
-        means = sums / m
-        if records is not None:
-            records.append(RoundRecord(r, scale, m, survivors.copy(), means.copy()))
-        pool = _SortedPool(survivors, means)
+        pool = _SortedPool(survivors, sums / m)
         threshold = scale / 3.0 if tuned else 2.0 * scale
         k_rem = _commit_sweep(pool, k_rem, threshold, accepted, rejected)
         survivors = pool.surviving()
@@ -204,8 +186,7 @@ def _round_loop(env, K: int, delta: float, tuned: bool, records, more, observe=N
     return np.concatenate(accepted), np.concatenate(rejected), survivors, k_rem, r
 
 
-def adaptive_topk(env, K: int, epsilon: float, delta: float, tuned: bool = False,
-                  record_rounds: bool = False) -> SelectionResult:
+def adaptive_topk(env, K: int, epsilon: float, delta: float, tuned: bool = False) -> SelectionResult:
     """Fixed-confidence selection: returns K arms whose aggregate regret is
     at most ``epsilon`` with probability at least 1 - ``delta``.
 
@@ -215,9 +196,8 @@ def adaptive_topk(env, K: int, epsilon: float, delta: float, tuned: bool = False
         epsilon: regret tolerance, > 0.
         delta: failure probability, in (0, 1).
         tuned: use the smoothed schedule (see module docstring).
-        record_rounds: attach per-round telemetry to the result.
     """
-    run = SelectionRun(env, K, [] if record_rounds else None)
+    run = SelectionRun(env, K)
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if not 0 < delta < 1:
@@ -229,13 +209,13 @@ def adaptive_topk(env, K: int, epsilon: float, delta: float, tuned: bool = False
     # The stopping rule is evaluated with the scale of the round just
     # completed (2^0 = 1 before any round, which always admits epsilon < 2).
     accepted, rejected, survivors, k_rem, r = _round_loop(
-        env, K, delta, tuned, run.rounds,
+        env, K, delta, tuned,
         lambda r, k_rem, cost: 2.0 * _schedule(r, tuned) * k_rem > epsilon * K)
     return run.result(np.concatenate([accepted, survivors[:k_rem]]), r, accepted, rejected)
 
 
 def adaptive_topk_fixed_budget(env, K: int, budget: int, delta: float = 0.01,
-                               tuned: bool = False, record_rounds: bool = False) -> SelectionResult:
+                               tuned: bool = False) -> SelectionResult:
     """Budget-capped variant: same rounds and commit sweep, no stopping rule.
 
     Pulls never exceed ``budget``.  When the next round no longer fits, the
@@ -248,7 +228,7 @@ def adaptive_topk_fixed_budget(env, K: int, budget: int, delta: float = 0.01,
     ``delta`` only shapes the per-round pull counts (default mirrors the
     benchmark protocol); there is no confidence guarantee in this mode.
     """
-    run = SelectionRun(env, K, [] if record_rounds else None)
+    run = SelectionRun(env, K)
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if not 0 < delta < 1:
@@ -268,7 +248,7 @@ def adaptive_topk_fixed_budget(env, K: int, budget: int, delta: float = 0.01,
     # ``state`` tallies every pull of the run, so budget - its count is what
     # is left.
     accepted, rejected, survivors, k_rem, r = _round_loop(
-        env, K, delta, tuned, run.rounds,
+        env, K, delta, tuned,
         lambda r, k_rem, cost: cost <= budget - state.counts.sum(), state.add_many)
     if k_rem >= 1 and len(survivors) > k_rem:
         # The budget ran out first: spread the rest over the survivors and

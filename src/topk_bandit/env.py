@@ -20,6 +20,7 @@ __all__ = [
     "ArmEnvironment",
     "EnvironmentView",
     "ComplementEnvironment",
+    "PullTrace",
     "EmpiricalState",
 ]
 
@@ -65,10 +66,6 @@ class Instance:
     def n(self) -> int:
         return self.means.size
 
-    def sorted_means(self) -> np.ndarray:
-        """Means sorted non-increasing (a copy)."""
-        return np.sort(self.means)[::-1].copy()
-
 
 class ArmEnvironment:
     """Stateful seeded sampler; the only reward channel algorithms may use.
@@ -82,7 +79,6 @@ class ArmEnvironment:
 
     def __init__(self, instance: Instance, seed):
         self.instance = instance
-        self.seed = seed
         root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(int(seed))
         reward_ss, algo_ss = root.spawn(2)
         self._rng = np.random.default_rng(reward_ss)
@@ -138,7 +134,9 @@ class ArmEnvironment:
 
 class EnvironmentView:
     """An environment seen through a wrapper: forwards every member to the
-    wrapped environment.  Subclasses override only what they change."""
+    wrapped environment.  A scalar :meth:`pull_batch` goes through the view's
+    own :meth:`pull_many`, so a subclass that changes the pulls overrides
+    :meth:`pull_many` alone."""
 
     def __init__(self, inner):
         self._inner = inner
@@ -153,7 +151,9 @@ class EnvironmentView:
         return self._inner.pull_counts
 
     def pull_batch(self, arm: int, m: int) -> int:
-        return self._inner.pull_batch(arm, m)
+        # One Binomial draw either way: a size-1 array draw takes the same
+        # value from the stream as the scalar draw.
+        return int(self.pull_many([arm], m)[0])
 
     def pull_many(self, arms: np.ndarray, m: int) -> np.ndarray:
         return self._inner.pull_many(arms, m)
@@ -178,11 +178,28 @@ class ComplementEnvironment(EnvironmentView):
         inst = inner.instance
         self.instance = Instance(1.0 - inst.means, inst.K, inst.epsilon, inst.delta)
 
-    def pull_batch(self, arm: int, m: int) -> int:
-        return int(m) - self._inner.pull_batch(arm, m)
-
     def pull_many(self, arms: np.ndarray, m: int) -> np.ndarray:
         return int(m) - self._inner.pull_many(arms, m)
+
+
+class PullTrace(EnvironmentView):
+    """View that records every pull request, and changes nothing else.
+
+    Each request is appended to :attr:`events` as ``(arms, m, sums)``: the
+    arms pulled, the pulls per arm and their reward sums, as arrays (a scalar
+    :meth:`pull_batch` gives one-element arrays).  Every algorithm reads
+    rewards only through its environment, so a trace shows where the pulls
+    of any run went; the adaptive selectors' round r is event r - 1.
+    """
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.events = []
+
+    def pull_many(self, arms: np.ndarray, m: int) -> np.ndarray:
+        sums = self._inner.pull_many(arms, m)
+        self.events.append((np.array(arms, dtype=np.intp), int(m), sums.copy()))
+        return sums
 
 
 @dataclass

@@ -23,7 +23,6 @@ from its tail (and, when accepted arms must dominate, its head).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,8 +30,6 @@ from .adaptive import SelectionResult, SelectionRun
 from .env import ComplementEnvironment
 
 __all__ = [
-    "SubroutineCall",
-    "SubroutineBudgetLog",
     "est_kth_arm",
     "est_kth_arm_cost",
     "eps_split",
@@ -43,33 +40,6 @@ __all__ = [
     "opt_mai_cost",
     "improved_topk",
 ]
-
-
-@dataclass
-class SubroutineCall:
-    """One subroutine invocation and the pulls it consumed."""
-
-    name: str
-    set_size: int
-    k: int
-    phi: float
-    tau: float = None
-    gamma: float = None
-    delta: float = None
-    pulls_used: int = 0
-
-
-@dataclass
-class SubroutineBudgetLog:
-    """Telemetry: every subroutine call made during a run."""
-
-    calls: list = field(default_factory=list)
-
-    def record(self, call: SubroutineCall) -> None:
-        self.calls.append(call)
-
-    def total_pulls(self) -> int:
-        return sum(c.pulls_used for c in self.calls)
 
 
 def _round_half_up(x: float) -> int:
@@ -108,7 +78,7 @@ def _halving(env, arms: np.ndarray, k_target: int, tau: float, phi: float, delta
     """Successive halving keeping the top max(k_target, half) arms per round,
     on the schedule of :func:`_halving_rounds`.
 
-    Returns (kept, kept_means, last_seen, pulls): ``kept`` holds the
+    Returns (kept, kept_means, last_seen): ``kept`` holds the
     survivors' positions in ``arms``, best first, and ``last_seen`` is an
     array aligned with ``arms`` giving every input arm the freshest mean
     observed before it was dropped (or at the end, for survivors).  The
@@ -117,18 +87,16 @@ def _halving(env, arms: np.ndarray, k_target: int, tau: float, phi: float, delta
     arms = np.asarray(arms, dtype=np.intp)
     kept = np.arange(len(arms))
     last_seen = np.empty(len(arms))
-    pulls = 0
     for size, m in _halving_rounds(len(arms), k_target, tau, phi, delta):
         means = env.pull_many(arms[kept], m) / m
-        pulls += m * size
         last_seen[kept] = means
         if size > k_target:
             keep = np.argsort(-means, kind="stable")[: max(k_target, math.ceil(size / 2))]
             kept, means = kept[keep], means[keep]
-    return kept, means, last_seen, pulls
+    return kept, means, last_seen
 
 
-def est_kth_arm(env, S, K: int, tau: float, phi: float, delta: float, rng=None, log=None):
+def est_kth_arm(env, S, K: int, tau: float, phi: float, delta: float, rng=None):
     """Locate an arm whose true mean is near the K-th largest of S.
 
     With probability at least 1 - delta the returned arm's true mean lies in
@@ -144,19 +112,17 @@ def est_kth_arm(env, S, K: int, tau: float, phi: float, delta: float, rng=None, 
     for name, v in (("tau", tau), ("phi", phi), ("delta", delta)):
         if not 0.0 < v < 1.0:
             raise ValueError(f"{name} must lie in (0, 1)")
-    kept, means, _, pulls = _halving(env, arms, K, tau, phi, delta)
+    kept, means, _ = _halving(env, arms, K, tau, phi, delta)
     order = np.argsort(-means, kind="stable")
     cut = _clamp(_round_half_down((1.0 - tau / 2.0) * K), 1, len(kept))
     cut_val = means[order[cut - 1]]
     candidates = np.flatnonzero(means <= cut_val)
     rng = rng if rng is not None else env.spawn_rng()
     pick = int(candidates[rng.integers(len(candidates))])
-    if log is not None:
-        log.record(SubroutineCall("est-kth", len(arms), K, phi, tau=tau, delta=delta, pulls_used=pulls))
     return int(arms[kept[pick]]), float(means[pick])
 
 
-def eps_split(env, S, K: int, tau: float, phi: float, delta: float, log=None) -> set:
+def eps_split(env, S, K: int, tau: float, phi: float, delta: float) -> set:
     """Split S at the top-K boundary, valid when the surrounding gap is wide.
 
     Runs the halving core down to about (1 - tau) * K survivors and tops the
@@ -174,7 +140,7 @@ def eps_split(env, S, K: int, tau: float, phi: float, delta: float, log=None) ->
     if not 0.0 < tau < 1.0:
         raise ValueError("tau must lie in (0, 1)")
     k_target = _clamp(_round_half_up((1.0 - tau) * K), 1, K)
-    kept, _, last_seen, pulls = _halving(env, arms, k_target, tau, phi, delta)
+    kept, _, last_seen = _halving(env, arms, k_target, tau, phi, delta)
     if len(kept) < K:
         # "any arms" would do for the contract; the freshest means are free.
         # ``arms`` is sorted, so a stable sort breaks ties by arm id.
@@ -183,8 +149,6 @@ def eps_split(env, S, K: int, tau: float, phi: float, delta: float, log=None) ->
         rest = np.flatnonzero(rest)
         top_up = rest[np.argsort(-last_seen[rest], kind="stable")[: K - len(kept)]]
         kept = np.concatenate([kept, top_up])
-    if log is not None:
-        log.record(SubroutineCall("eps-split", len(arms), K, phi, tau=tau, delta=delta, pulls_used=pulls))
     return set(arms[kept].tolist())
 
 
@@ -198,7 +162,7 @@ def elim_cost(size: int, gamma: float, phi: float, delta: float) -> int:
     return size * _elim_pulls(phi, gamma, delta)
 
 
-def _elim_core(env, S, gamma: float, phi: float, delta: float, reverse: bool, log, name: str):
+def _elim_core(env, S, gamma: float, phi: float, delta: float, reverse: bool):
     arms = np.asarray(sorted(int(a) for a in S), dtype=np.intp)
     if len(arms) == 0:
         raise ValueError("S must be non-empty")
@@ -212,31 +176,27 @@ def _elim_core(env, S, gamma: float, phi: float, delta: float, reverse: bool, lo
         order = np.argsort(-means, kind="stable")
     else:
         order = np.argsort(means, kind="stable")
-    picked = arms[order[:t_size]]
-    if log is not None:
-        log.record(SubroutineCall(name, len(arms), t_size, phi, gamma=gamma, delta=delta,
-                                  pulls_used=m * len(arms)))
-    return set(int(a) for a in picked)
+    return set(int(a) for a in arms[order[:t_size]])
 
 
-def elim(env, S, K: int, gamma: float, phi: float, delta: float, log=None) -> set:
+def elim(env, S, K: int, gamma: float, phi: float, delta: float) -> set:
     """Discard candidates: the ceil(|S|/10) arms with the smallest means.
 
     Contract (when theta_(K) - theta_((|S|+K)/2) >= phi and K <= 2|S|/3):
     with probability 1 - delta at most gamma * K of the returned arms are
     among the true top-K of S.
     """
-    return _elim_core(env, S, gamma, phi, delta, reverse=False, log=log, name="elim")
+    return _elim_core(env, S, gamma, phi, delta, reverse=False)
 
 
-def reverse_elim(env, S, K: int, gamma: float, phi: float, delta: float, log=None) -> set:
+def reverse_elim(env, S, K: int, gamma: float, phi: float, delta: float) -> set:
     """Mirror image of :func:`elim`: returns the ceil(|S|/10) largest-mean arms.
 
     Contract (when theta_(K/2) - theta_(K) >= phi and K >= |S|/3): with
     probability 1 - delta at most gamma * K of the returned arms are among
     the true bottom |S| - K of S.
     """
-    return _elim_core(env, S, gamma, phi, delta, reverse=True, log=log, name="reverse-elim")
+    return _elim_core(env, S, gamma, phi, delta, reverse=True)
 
 
 def _opt_mai_pulls(size: int, epsilon: float, delta: float) -> int:
@@ -248,7 +208,7 @@ def opt_mai_cost(size: int, epsilon: float, delta: float) -> int:
     return size * _opt_mai_pulls(size, epsilon, delta)
 
 
-def opt_mai(env, S, K: int, epsilon: float, delta: float, log=None) -> set:
+def opt_mai(env, S, K: int, epsilon: float, delta: float) -> set:
     """PAC selection of K arms from S with aggregate regret <= epsilon.
 
     Interface-compatible stand-in: uniform allocation sized by a union bound,
@@ -268,14 +228,10 @@ def opt_mai(env, S, K: int, epsilon: float, delta: float, log=None) -> set:
     m = _opt_mai_pulls(len(arms), epsilon, delta)
     means = env.pull_many(arms, m) / m
     order = np.argsort(-means, kind="stable")
-    if log is not None:
-        log.record(SubroutineCall("opt-mai", len(arms), K, epsilon, delta=delta,
-                                  pulls_used=m * len(arms)))
     return set(int(a) for a in arms[order[:K]])
 
 
-def improved_topk(env, K: int, epsilon: float, delta: float, rng=None,
-                  log: SubroutineBudgetLog = None) -> SelectionResult:
+def improved_topk(env, K: int, epsilon: float, delta: float) -> SelectionResult:
     """Select K arms with aggregate regret <= epsilon, w.p. >= 1 - delta.
 
     For K > n/2 the problem is reflected: the complement environment is asked
@@ -290,13 +246,11 @@ def improved_topk(env, K: int, epsilon: float, delta: float, rng=None,
         return run.result(range(K), 0)
     n = env.n
     if 2 * K > n:
-        inner = improved_topk(ComplementEnvironment(env), n - K, epsilon, delta, rng=rng, log=log)
+        inner = improved_topk(ComplementEnvironment(env), n - K, epsilon, delta)
         selected = set(range(n)) - inner.selected
         return run.result(selected, inner.rounds_completed, inner.rejected, inner.accepted_early)
 
-    rng = rng if rng is not None else env.spawn_rng()
-    if log is None:
-        log = SubroutineBudgetLog()
+    rng = env.spawn_rng()
     S = list(range(n))
     A: set = set()
     B: set = set()
@@ -323,10 +277,10 @@ def improved_topk(env, K: int, epsilon: float, delta: float, rng=None,
             kp_lo = _clamp(_round_half_up(K_L - len(A)), 1, len(S))
             kp_mid_tail = _clamp(_round_half_up((len(S) + k_rem) / 2.0), 1, len(S))
             kp_mid_head = _clamp(_round_half_up(k_rem / 2.0), 1, len(S))
-            _, theta_K_plus = est_kth_arm(env, S, kp_hi, tau, phi, d_sub, rng=rng, log=log)
-            _, theta_K_minus = est_kth_arm(env, S, kp_lo, tau, phi, d_sub, rng=rng, log=log)
-            _, theta_plus = est_kth_arm(env, S, kp_mid_tail, tau, phi, d_sub, rng=rng, log=log)
-            _, theta_minus = est_kth_arm(env, S, kp_mid_head, tau, phi, d_sub, rng=rng, log=log)
+            _, theta_K_plus = est_kth_arm(env, S, kp_hi, tau, phi, d_sub, rng=rng)
+            _, theta_K_minus = est_kth_arm(env, S, kp_lo, tau, phi, d_sub, rng=rng)
+            _, theta_plus = est_kth_arm(env, S, kp_mid_tail, tau, phi, d_sub, rng=rng)
+            _, theta_minus = est_kth_arm(env, S, kp_mid_head, tau, phi, d_sub, rng=rng)
             cond2 = theta_K_minus - theta_K_plus > 3.0 * phi
             head_sep = theta_K_plus - theta_plus > 3.0 * phi
             tail_sep = theta_minus - theta_K_minus > 3.0 * phi
@@ -336,28 +290,28 @@ def improved_topk(env, K: int, epsilon: float, delta: float, rng=None,
                 break
 
         if cond1:
-            return run.result(opt_mai(env, S, k_rem, phi, delta / 100.0, log=log) | A, r, A, B)
+            return run.result(opt_mai(env, S, k_rem, phi, delta / 100.0) | A, r, A, B)
         if cond2:
             tau_split = (K_R - K_L) / k_rem
             if tau_split < 1.0 and _round_half_up((1.0 - tau_split) * k_rem) >= 1:
-                chosen = eps_split(env, S, k_rem, tau_split, phi, delta / 100.0, log=log)
+                chosen = eps_split(env, S, k_rem, tau_split, phi, delta / 100.0)
             else:
                 # The split ratio collapses on small sets; a direct PAC
                 # selection at the budget's share of the tolerance is safe.
-                chosen = opt_mai(env, S, k_rem, K * epsilon / (10.0 * k_rem), delta / 100.0, log=log)
+                chosen = opt_mai(env, S, k_rem, K * epsilon / (10.0 * k_rem), delta / 100.0)
             return run.result(chosen | A, r, A, B)
 
         u_size = math.ceil(len(S) / 10)
         if len(S) - u_size < k_rem:
             # Shedding a tenth would cut into arms we must return.
-            chosen = opt_mai(env, S, k_rem, K * epsilon / (10.0 * k_rem), delta / 100.0, log=log)
+            chosen = opt_mai(env, S, k_rem, K * epsilon / (10.0 * k_rem), delta / 100.0)
             return run.result(chosen | A, r, A, B)
         gamma = epsilon * epsilon / (100.0 * r * r)
         d_round = delta / (100.0 * r * r)
-        U = elim(env, S, k_rem, gamma, phi, d_round, log=log)
+        U = elim(env, S, k_rem, gamma, phi, d_round)
         V = set()
         if k_rem > len(S) / 2.0:
-            V = reverse_elim(env, S, k_rem, gamma, phi, d_round, log=log)
+            V = reverse_elim(env, S, k_rem, gamma, phi, d_round)
             V -= U  # tiny sets can overlap; a committed arm must not be discarded
             if len(V) > k_rem:
                 V = set(sorted(V)[:k_rem])

@@ -205,19 +205,10 @@ class _CapWatchdog(EnvironmentView):
         self._arm = int(watched_arm)
         self._cap = int(cap)
 
-    def _check(self, extra: int) -> None:
-        if self._inner.pull_counts[self._arm] + extra > self._cap:
-            raise _GiveUp
-
-    def pull_batch(self, arm: int, m: int) -> int:
-        if int(arm) == self._arm:
-            self._check(int(m))
-        return self._inner.pull_batch(arm, m)
-
     def pull_many(self, arms, m: int):
         arms = np.asarray(arms, dtype=np.intp)
-        if np.any(arms == self._arm):
-            self._check(int(m))
+        if np.any(arms == self._arm) and self._inner.pull_counts[self._arm] + int(m) > self._cap:
+            raise _GiveUp
         return self._inner.pull_many(arms, m)
 
 

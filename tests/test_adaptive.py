@@ -5,7 +5,7 @@ import pytest
 
 from conftest import shuffled_trial, success_rate
 from topk_bandit.adaptive import adaptive_topk, adaptive_topk_fixed_budget
-from topk_bandit.env import ArmEnvironment, Instance
+from topk_bandit.env import ArmEnvironment, Instance, PullTrace
 from topk_bandit.instances import gen_two_group
 
 
@@ -70,14 +70,15 @@ def test_single_good_arm_found():
 def test_round_pull_counts_exact():
     n, K, delta = 16, 4, 0.1
     env, _, _ = shuffled_trial(gen_two_group(n, K), K, 0.05, delta, (11, 0))
-    res = adaptive_topk(env, K, 0.05, delta, record_rounds=True)
-    assert res.rounds, "at least one round must run"
+    trace = PullTrace(env)
+    res = adaptive_topk(trace, K, 0.05, delta)
+    assert res.rounds_completed == len(trace.events) >= 1, "every pull request is one round"
     seen = {}
-    for rec in res.rounds:
-        expected = math.ceil(4**rec.index * math.log(2 * n * rec.index**2 / delta))
-        assert rec.pulls_per_arm == expected
-        for arm in rec.arms:
-            seen[int(arm)] = seen.get(int(arm), 0) + rec.pulls_per_arm
+    for r, (arms, m, _) in enumerate(trace.events, 1):
+        expected = math.ceil(4**r * math.log(2 * n * r**2 / delta))
+        assert m == expected
+        for arm in arms:
+            seen[int(arm)] = seen.get(int(arm), 0) + m
     for arm in range(n):
         assert env.pull_counts[arm] == seen.get(arm, 0)
 
@@ -90,10 +91,11 @@ def test_commitments_correct_when_estimates_concentrate():
     checked = 0
     for trial in range(40):
         env, shuffled, _ = shuffled_trial(means, K, 0.05, 0.1, (13, trial))
-        res = adaptive_topk(env, K, 0.05, 0.1, record_rounds=True)
+        trace = PullTrace(env)
+        res = adaptive_topk(trace, K, 0.05, 0.1)
         concentrated = all(
-            np.all(np.abs(rec.means - shuffled[rec.arms]) < rec.scale)
-            for rec in res.rounds
+            np.all(np.abs(sums / m - shuffled[arms]) < 2.0 ** -r)
+            for r, (arms, m, sums) in enumerate(trace.events, 1)
         )
         if not concentrated:
             continue

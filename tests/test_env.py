@@ -103,6 +103,19 @@ def test_pull_many_matches_counters():
     assert env.total_pulls() == 100
 
 
+def test_scalar_pull_batch_draws_as_a_one_arm_pull_many():
+    # Views answer pull_batch through pull_many, so a scalar draw and a
+    # size-1 array draw must take the same value from the reward stream.
+    # Small and large m reach both of numpy's Binomial samplers.
+    rng = np.random.default_rng(3)
+    means = np.concatenate([[0.0, 1.0], rng.random(6)])
+    for seed in range(200):
+        a, b = make_env(means, seed=seed), make_env(means, seed=seed)
+        for arm, m in zip(rng.integers(0, means.size, 25), np.exp(rng.uniform(0, 14, 25)).astype(int) + 1):
+            assert a.pull_batch(arm, m) == int(b.pull_many([arm], m)[0])
+        assert np.array_equal(a.pull_counts, b.pull_counts)
+
+
 def test_batch_distribution_chi_square():
     # Empirical law of pull_batch(., m) across seeds matches Binomial(m, theta).
     m, theta, n_seeds = 5, 0.3, 100_000

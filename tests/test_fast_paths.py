@@ -19,7 +19,7 @@ from topk_bandit.hardness import (
     HardnessReport, _require_k, _require_sorted, gaps, hardness, psi_quantities, t_of,
 )
 from topk_bandit.improved import (
-    SubroutineCall, _clamp, _halving, _halving_rounds, _round_half_up, eps_split,
+    _clamp, _halving, _halving_rounds, _round_half_up, eps_split,
 )
 from topk_bandit.instances import gen_two_group
 
@@ -119,7 +119,7 @@ def ref_halving(env, arms: np.ndarray, k_target: int, tau: float, phi: float, de
     return R, means, last_seen, pulls
 
 
-def ref_eps_split(env, S, K: int, tau: float, phi: float, delta: float, log=None) -> set:
+def ref_eps_split(env, S, K: int, tau: float, phi: float, delta: float) -> set:
     arms = np.asarray(sorted(int(a) for a in S), dtype=np.intp)
     if not 1 <= K <= len(arms):
         raise ValueError(f"need 1 <= K <= |S|; got K={K}, |S|={len(arms)}")
@@ -128,7 +128,7 @@ def ref_eps_split(env, S, K: int, tau: float, phi: float, delta: float, log=None
     if not 0.0 < tau < 1.0:
         raise ValueError("tau must lie in (0, 1)")
     k_target = _clamp(_round_half_up((1.0 - tau) * K), 1, K)
-    R, _, last_seen, pulls = ref_halving(env, arms, k_target, tau, phi, delta)
+    R, _, last_seen, _ = ref_halving(env, arms, k_target, tau, phi, delta)
     chosen = [int(a) for a in R]
     if len(chosen) < K:
         kept = set(chosen)
@@ -136,8 +136,6 @@ def ref_eps_split(env, S, K: int, tau: float, phi: float, delta: float, log=None
         # "any arms" would do for the contract; the freshest means are free.
         rest.sort(key=lambda a: (-last_seen.get(int(a), -1.0), int(a)))
         chosen.extend(int(a) for a in rest[: K - len(chosen)])
-    if log is not None:
-        log.record(SubroutineCall("eps-split", len(arms), K, phi, tau=tau, delta=delta, pulls_used=pulls))
     return set(chosen)
 
 
@@ -293,12 +291,12 @@ def test_halving_matches_loop():
         arms = np.sort(S)
         k_target = int(rng.integers(1, len(arms) + 1))
         fast_env, slow_env = _env(means, 1, seed), _env(means, 1, seed)
-        kept, kept_means, last_seen, pulls = _halving(fast_env, arms, k_target, tau, phi, delta)
+        kept, kept_means, last_seen = _halving(fast_env, arms, k_target, tau, phi, delta)
         R, R_means, seen, ref_pulls = ref_halving(slow_env, arms, k_target, tau, phi, delta)
         assert arms[kept].tolist() == R.tolist()
         assert kept_means.tolist() == R_means.tolist()
         assert dict(zip(arms.tolist(), last_seen.tolist())) == seen
-        assert pulls == ref_pulls
+        assert fast_env.total_pulls() == ref_pulls
         _same_env_state(fast_env, slow_env)
 
 

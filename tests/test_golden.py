@@ -2,9 +2,9 @@
 
 Every case makes seeded calls and hashes what a behaviour-preserving change
 must keep: the selected set, the per-arm pulls, the rounds completed and the
-early accept and reject sets (plus round telemetry, reduction answers, CSV
-and CLI text where a case has them).  A changed digest means a selection, a
-pull count or a reward stream changed.
+early accept and reject sets (plus the rounds read from a pull trace,
+reduction answers, CSV and CLI text where a case has them).  A changed
+digest means a selection, a pull count or a reward stream changed.
 """
 
 import hashlib
@@ -18,7 +18,7 @@ from topk_bandit.adaptive import adaptive_topk, adaptive_topk_fixed_budget
 from topk_bandit.baselines import cb_accept_reject_topk, uniform_topk
 from topk_bandit.bench import ALGORITHMS, ExperimentConfig, run_experiment
 from topk_bandit.cli import main
-from topk_bandit.env import ArmEnvironment, Instance
+from topk_bandit.env import ArmEnvironment, Instance, PullTrace
 from topk_bandit.improved import eps_split, est_kth_arm, improved_topk, opt_mai
 from topk_bandit.instances import gen_two_group
 from topk_bandit.lowerbound import reduction_run
@@ -36,9 +36,14 @@ def _parts(res):
             res.rounds_completed, sorted(res.accepted_early), sorted(res.rejected)]
 
 
-def _records(res):
-    return [[r.index, float(r.scale).hex(), r.pulls_per_arm, r.arms.tolist(),
-             [float(v).hex() for v in r.means]] for r in res.rounds]
+def _traced_rounds(select, seed):
+    """Parts of a seeded run plus its rounds: round r is trace event r - 1,
+    at scale 2^-r, and a run's rounds are its first rounds_completed events."""
+    trace = PullTrace(_env(seed))
+    res = select(trace)
+    rounds = [[r, float(2.0 ** -r).hex(), m, arms.tolist(), [float(v).hex() for v in sums / m]]
+              for r, (arms, m, sums) in enumerate(trace.events[:res.rounds_completed], 1)]
+    return [_parts(res), rounds]
 
 
 def _reductions():
@@ -102,10 +107,9 @@ CASES = {
     "improved-complement": lambda: _parts(improved_topk(_env(9, k=30), 30, 0.2, DELTA)),
     "fixed-budget-below-n": lambda: _parts(adaptive_topk_fixed_budget(_env(10), K, N - 7, delta=DELTA)),
     "fixed-budget-remainder": lambda: _parts(adaptive_topk_fixed_budget(_env(11), K, 5_003, delta=DELTA)),
-    "record-rounds": lambda: (lambda res: [_parts(res), _records(res)])(
-        adaptive_topk(_env(12), K, EPS, DELTA, record_rounds=True)),
-    "record-rounds-fixed-budget": lambda: (lambda res: [_parts(res), _records(res)])(
-        adaptive_topk_fixed_budget(_env(13), K, 20_000, delta=DELTA, record_rounds=True)),
+    "record-rounds": lambda: _traced_rounds(lambda env: adaptive_topk(env, K, EPS, DELTA), 12),
+    "record-rounds-fixed-budget": lambda: _traced_rounds(
+        lambda env: adaptive_topk_fixed_budget(env, K, 20_000, delta=DELTA), 13),
     "eps-split": lambda: (lambda env: [sorted(eps_split(env, range(N), 10, 0.3, 0.1, DELTA)),
                                        env.pull_counts.tolist()])(_env(15)),
     # A set that already fits gets one calibration pass, which must keep the

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import shuffled_trial, success_rate
+from topk_bandit import improved
 from topk_bandit.env import ArmEnvironment, Instance
 from topk_bandit.improved import (
-    SubroutineBudgetLog,
     elim,
     elim_cost,
     eps_split,
@@ -23,6 +23,26 @@ from topk_bandit.instances import gen_two_group, gen_uniform
 
 def make_env(means, seed=0, K=1):
     return ArmEnvironment(Instance(np.asarray(means, float), K, 0.1, 0.1), seed=seed)
+
+
+@pytest.fixture
+def subroutine_calls(monkeypatch):
+    """Per-subroutine attribution: wraps the subroutines on the module
+    globals that ``improved_topk`` calls them through, and records each call
+    as (name, positional arguments after env, pulls it made)."""
+    calls = []
+
+    def recorder(name, fn):
+        def wrapper(env, *args, **kwargs):
+            before = env.total_pulls()
+            out = fn(env, *args, **kwargs)
+            calls.append((name, args, env.total_pulls() - before))
+            return out
+        return wrapper
+
+    for name in ("est_kth_arm", "eps_split", "elim", "reverse_elim", "opt_mai"):
+        monkeypatch.setattr(improved, name, recorder(name, getattr(improved, name)))
+    return calls
 
 
 class TestEstKthArm:
@@ -50,13 +70,12 @@ class TestEstKthArm:
             ok += lo <= shuffled[arm] <= hi
         assert ok >= 48  # 1 - delta with binomial slack
 
-    def test_pull_accounting_exact(self):
+    def test_pull_accounting_exact(self, subroutine_calls):
         env = make_env(gen_uniform(24), K=5)
-        log = SubroutineBudgetLog()
-        est_kth_arm(env, range(24), 5, 0.3, 0.15, 0.2, log=log)
+        improved.est_kth_arm(env, range(24), 5, 0.3, 0.15, 0.2)
         expected = est_kth_arm_cost(24, 5, 0.3, 0.15, 0.2)
         assert env.total_pulls() == expected
-        assert log.calls[0].pulls_used == expected
+        assert subroutine_calls[0][2] == expected
 
     def test_halving_terminates_fast_and_decays(self):
         size, k = 64, 5
@@ -102,14 +121,13 @@ class TestElim:
         env = make_env(gen_uniform(7), K=2)
         assert len(elim(env, range(7), 2, 0.1, 0.3, 0.1)) == 1
 
-    def test_pull_count_formula(self):
+    def test_pull_count_formula(self, subroutine_calls):
         env = make_env(gen_uniform(20), K=5)
-        log = SubroutineBudgetLog()
-        elim(env, range(20), 5, 0.1, 0.3, 0.1, log=log)
+        improved.elim(env, range(20), 5, 0.1, 0.3, 0.1)
         assert env.total_pulls() == elim_cost(20, 0.1, 0.3, 0.1)
         per_arm = math.ceil(2.0 / 0.3**2 * math.log(4.0 / (0.1 * 0.1)))
         assert np.all(env.pull_counts == per_arm)
-        assert log.calls[0].pulls_used == env.total_pulls()
+        assert subroutine_calls[0][2] == env.total_pulls()
 
     def test_contract_extreme_separation(self):
         means = np.zeros(30)
@@ -177,23 +195,20 @@ class TestImprovedTopK:
                             lambda env, _: improved_topk(env, 15, 0.05, 0.1).selected, seed0=71)
         assert rate >= 0.9
 
-    def test_budget_log_populated_and_consistent(self):
+    def test_budget_log_populated_and_consistent(self, subroutine_calls):
         env, _, _ = shuffled_trial(gen_two_group(40, 10), 10, 0.05, 0.1, (73, 0))
-        log = SubroutineBudgetLog()
-        res = improved_topk(env, 10, 0.05, 0.1, log=log)
-        assert log.calls
-        assert log.total_pulls() == res.total_pulls == env.total_pulls()
-        names = {c.name for c in log.calls}
-        assert "est-kth" in names
+        res = improved_topk(env, 10, 0.05, 0.1)
+        assert subroutine_calls
+        assert sum(pulls for _, _, pulls in subroutine_calls) == res.total_pulls == env.total_pulls()
+        assert "est_kth_arm" in {name for name, _, _ in subroutine_calls}
 
-    def test_est_kth_costs_in_log_match_formula(self):
+    def test_est_kth_costs_in_log_match_formula(self, subroutine_calls):
         env, _, _ = shuffled_trial(gen_two_group(40, 10), 10, 0.05, 0.1, (73, 1))
-        log = SubroutineBudgetLog()
-        improved_topk(env, 10, 0.05, 0.1, log=log)
-        for call in log.calls:
-            if call.name == "est-kth":
-                assert call.pulls_used == est_kth_arm_cost(
-                    call.set_size, call.k, call.tau, call.phi, call.delta)
+        improved_topk(env, 10, 0.05, 0.1)
+        est_calls = [(args, pulls) for name, args, pulls in subroutine_calls if name == "est_kth_arm"]
+        assert est_calls
+        for (S, k, tau, phi, delta), pulls in est_calls:
+            assert pulls == est_kth_arm_cost(len(S), k, tau, phi, delta)
 
     def test_degenerate_cases(self):
         env = make_env([0.1, 0.9, 0.5], K=3)
