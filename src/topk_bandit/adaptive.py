@@ -94,18 +94,35 @@ def _round_pulls(n: int, r: int, delta: float, tuned: bool) -> int:
     return math.ceil(math.log(2.0 * n * r * r / delta) / (scale * scale))
 
 
+def _order_by_sums(sums: np.ndarray, m: int) -> np.ndarray:
+    """Stable order of the means ``sums / m``, largest first: exactly
+    ``np.argsort(-(sums / m), kind="stable")`` (ties: lower position first).
+
+    Every arm had the same m pulls, so for integer sums in [0, m] the mean is
+    strictly increasing in the sum (m < 2^53), and the order is the stable
+    ascending order of the integer key m - sums.  Below 2^16 that key fits in
+    uint16, which numpy sorts stably by radix sort, in linear time.  Any other
+    input takes the float sort.
+    """
+    if (m < 1 << 16 and sums.size and sums.dtype.kind in "iu"
+            and sums.min() >= 0 and sums.max() <= m):
+        return np.argsort(np.uint16(m) - sums.astype(np.uint16), kind="stable")
+    return np.argsort(-(sums / m), kind="stable")
+
+
 class _SortedPool:
-    """Undecided arms kept sorted by the current round's empirical means.
+    """Undecided arms kept sorted by the current round's empirical means
+    ``sums / m``.
 
     The commit sweep only ever removes an extreme element (the boundary-gap
     maximizer is always at an end of the sorted order), so the pool is a
     shrinking window [lo, hi] over one stable descending sort per round.
     """
 
-    def __init__(self, arm_ids: np.ndarray, means: np.ndarray):
-        order = np.argsort(-means, kind="stable")  # ties: lower original position first
+    def __init__(self, arm_ids: np.ndarray, sums: np.ndarray, m: int):
+        order = _order_by_sums(sums, m)
         self.ids = arm_ids[order]
-        self.vals = means[order]
+        self.vals = sums[order] / m
         self.lo = 0
         self.hi = len(arm_ids) - 1
 
@@ -178,7 +195,7 @@ def _round_loop(env, K: int, delta: float, tuned: bool, more, observe=None):
         sums = env.pull_many(survivors, m)
         if observe is not None:
             observe(survivors, m, sums)
-        pool = _SortedPool(survivors, sums / m)
+        pool = _SortedPool(survivors, sums, m)
         threshold = scale / 3.0 if tuned else 2.0 * scale
         k_rem = _commit_sweep(pool, k_rem, threshold, accepted, rejected)
         survivors = pool.surviving()

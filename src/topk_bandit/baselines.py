@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .adaptive import SelectionResult, SelectionRun
+from .adaptive import SelectionResult, SelectionRun, _order_by_sums
 from .env import EmpiricalState
 
 __all__ = ["uniform_topk", "cb_accept_reject_topk"]
@@ -36,8 +36,7 @@ def uniform_topk(env, K: int, budget: int) -> SelectionResult:
     n = env.n
     m = budget // n
     arms = np.arange(n)
-    means = env.pull_many(arms, m) / m
-    order = np.argsort(-means, kind="stable")
+    order = _order_by_sums(env.pull_many(arms, m), m)
     return run.result(order[:K], 1)
 
 

@@ -67,6 +67,21 @@ class Instance:
         return self.means.size
 
 
+def _is_integer(v) -> bool:
+    # The type test first: the ABC isinstance check is far slower, and
+    # scalar pull loops such as cb-ar's pay it on every call.
+    return type(v) is int or isinstance(v, numbers.Integral)
+
+
+def _batch_size(m) -> int:
+    # A float m would be truncated silently.
+    if not _is_integer(m):
+        raise ValueError(f"batch size m must be an integer, got {m!r}")
+    if m < 1:
+        raise ValueError("batch size m must be >= 1")
+    return int(m)
+
+
 class ArmEnvironment:
     """Stateful seeded sampler; the only reward channel algorithms may use.
 
@@ -94,14 +109,14 @@ class ArmEnvironment:
 
         Raises:
             IndexError: arm index out of range.
-            ValueError: m < 1.
+            ValueError: arm or m not an integer, or m < 1.
         """
+        if not _is_integer(arm):
+            raise ValueError(f"arm id must be an integer, got {arm!r}")
         arm = int(arm)
         if not 0 <= arm < self.n:
             raise IndexError(f"arm {arm} out of range [0, {self.n})")
-        m = int(m)
-        if m < 1:
-            raise ValueError("batch size m must be >= 1")
+        m = _batch_size(m)
         reward = int(self._rng.binomial(m, self.instance.means[arm]))
         self.pull_counts[arm] += m
         return reward
@@ -109,17 +124,26 @@ class ArmEnvironment:
     def pull_many(self, arms: np.ndarray, m: int) -> np.ndarray:
         """Pull each arm in ``arms`` exactly ``m`` times (one vectorized request).
 
-        Returns the per-arm reward sums aligned with ``arms``.
+        Returns the per-arm reward sums aligned with ``arms``.  An arm listed
+        twice is pulled twice as often.
+
+        Raises:
+            IndexError: an arm index out of range.
+            ValueError: ``arms`` not a 1-D integer array (a boolean mask or
+                a scalar, say), m not an integer, or m < 1.
         """
-        arms = np.asarray(arms, dtype=np.intp)
+        arms = np.asarray(arms)
         if arms.size == 0:
             return np.zeros(0, dtype=np.int64)
+        # After the shortcut: an empty list converts to a float array.
+        if arms.ndim != 1 or arms.dtype.kind not in "iu":
+            raise ValueError(f"arm ids must be a 1-D array of integers, "
+                             f"got shape {arms.shape} and dtype {arms.dtype}")
+        arms = arms.astype(np.intp, copy=False)
         if arms.min() < 0 or arms.max() >= self.n:
             raise IndexError("arm index out of range")
-        m = int(m)
-        if m < 1:
-            raise ValueError("batch size m must be >= 1")
-        sums = self._rng.binomial(m, self.instance.means[arms]).astype(np.int64)
+        m = _batch_size(m)
+        sums = self._rng.binomial(m, self.instance.means[arms]).astype(np.int64, copy=False)
         np.add.at(self.pull_counts, arms, m)
         return sums
 
@@ -223,7 +247,10 @@ class EmpiricalState:
 
     def add_many(self, arms: np.ndarray, m: int, reward_sums: np.ndarray) -> None:
         np.add.at(self.counts, arms, m)
-        np.add.at(self.sums, arms, reward_sums)
+        # Cast first: np.add.at of integer values into float64 tallies takes
+        # a far slower casting path.  That path casts each value the same
+        # way, so the tallies are unchanged.
+        np.add.at(self.sums, arms, np.asarray(reward_sums, dtype=np.float64))
 
     def mean(self, arm: int) -> float:
         if self.counts[arm] == 0:

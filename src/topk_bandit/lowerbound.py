@@ -206,7 +206,7 @@ class _CapWatchdog(EnvironmentView):
         self._cap = int(cap)
 
     def pull_many(self, arms, m: int):
-        arms = np.asarray(arms, dtype=np.intp)
+        arms = np.asarray(arms)  # no cast: the wrapped environment checks the ids
         if np.any(arms == self._arm) and self._inner.pull_counts[self._arm] + int(m) > self._cap:
             raise _GiveUp
         return self._inner.pull_many(arms, m)

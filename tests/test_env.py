@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from topk_bandit.env import ArmEnvironment, ComplementEnvironment, EmpiricalState, Instance
+from topk_bandit.env import (
+    ArmEnvironment, ComplementEnvironment, EmpiricalState, Instance, PullTrace,
+)
+from topk_bandit.lowerbound import _CapWatchdog
 
 
 def make_env(means, seed=0, K=1):
@@ -101,6 +104,39 @@ def test_pull_many_matches_counters():
     assert sums.shape == (2,)
     assert list(env.pull_counts) == [50, 0, 50]
     assert env.total_pulls() == 100
+    # An arm listed twice is pulled twice; an empty request (a float array
+    # once converted) pulls nothing.
+    assert env.pull_many([1, 1, 2], 3).shape == (3,)
+    assert list(env.pull_counts) == [50, 6, 53]
+    assert env.pull_many([], 3).shape == (0,)
+    assert env.total_pulls() == 109
+
+
+@pytest.mark.parametrize("view", [lambda env: env, ComplementEnvironment, PullTrace,
+                                  lambda env: _CapWatchdog(env, 0, 10**9)],
+                         ids=["env", "complement", "trace", "watchdog"])
+@pytest.mark.parametrize("request_", [
+    ("many", [True, False], 1),              # a mask is not a list of ids
+    ("many", np.array([0.0, 1.7]), 2),
+    ("many", np.array([0, 1], dtype=object), 2),
+    ("many", np.array([[0, 1], [1, 2]]), 2),
+    ("many", np.int64(2), 3),
+    ("many", [0, 1], 2.9),
+    ("many", [0, 1], 2.0),
+    ("many", [0, 1], "2"),
+    ("batch", 1, 3.5),
+    ("batch", 1.7, 3),
+], ids=["bool-mask", "float-ids", "object-ids", "2-d-ids", "scalar-id",
+        "float-m", "integral-float-m", "str-m", "batch-float-m", "batch-float-arm"])
+def test_rejects_non_integer_pull_requests(view, request_):
+    kind, arms, m = request_
+    env, fresh = make_env([0.2, 0.5, 0.8], seed=5), make_env([0.2, 0.5, 0.8], seed=5)
+    pull = view(env).pull_many if kind == "many" else view(env).pull_batch
+    with pytest.raises(ValueError, match="integer"):
+        pull(arms, m)
+    # Rejected before anything was drawn or counted.
+    assert env.total_pulls() == 0
+    assert env.pull_many([0, 1, 2], 9).tolist() == fresh.pull_many([0, 1, 2], 9).tolist()
 
 
 def test_scalar_pull_batch_draws_as_a_one_arm_pull_many():

@@ -1,7 +1,7 @@
-"""Differential tests: each vectorised or closed-form hot path against the
-per-element loop it replaced.
+"""Differential tests: each vectorised, closed-form or integer-keyed hot path
+against the per-element loop or the float form it replaced.
 
-The reference functions below are the earlier loop implementations, kept
+The reference functions below are the earlier implementations, kept
 verbatim apart from names and docstrings; they live here and nowhere in the
 package.  Every comparison is exact: the fast paths do the same float
 operations, so they must agree bit for bit, not within a tolerance.
@@ -12,7 +12,9 @@ import math
 import numpy as np
 import pytest
 
-from topk_bandit.adaptive import SelectionResult, SelectionRun, _commit_sweep, _SortedPool
+from topk_bandit.adaptive import (
+    SelectionResult, SelectionRun, _commit_sweep, _order_by_sums, _SortedPool,
+)
 from topk_bandit.baselines import _CB_C, _check_budget, cb_accept_reject_topk
 from topk_bandit.env import ArmEnvironment, EmpiricalState, Instance
 from topk_bandit.hardness import (
@@ -25,6 +27,15 @@ from topk_bandit.instances import gen_two_group
 
 
 # --- references: the loop implementations -----------------------------------
+
+def ref_order_by_sums(sums: np.ndarray, m: int) -> np.ndarray:
+    return np.argsort(-(sums / m), kind="stable")
+
+
+def ref_add_many(state, arms: np.ndarray, m: int, reward_sums: np.ndarray) -> None:
+    np.add.at(state.counts, arms, m)
+    np.add.at(state.sums, arms, reward_sums)
+
 
 def ref_commit_sweep(pool, k_rem: int, threshold: float, accepted: list, rejected: list) -> int:
     while k_rem >= 1 and pool.size() > k_rem:
@@ -194,24 +205,80 @@ def _flat(chunks) -> list:
     return [int(i) for chunk in chunks for i in chunk]
 
 
+# --- _order_by_sums and EmpiricalState.add_many ----------------------------
+
+ORDER_MS = [1, 2, 77, 65535, 65536, 10**6]  # the last two take the float sort
+
+
+def _sums_cases(rng, m: int):
+    for size in (1, 2, 37, 2_000):
+        yield rng.integers(0, m + 1, size)                            # uniform
+        yield rng.choice(rng.integers(0, m + 1, 3), size)             # heavy ties
+        yield np.full(size, int(rng.integers(0, m + 1)))              # all equal
+        yield rng.choice([0, m], size)                                # 0 and m only
+        yield m - rng.binomial(m, rng.random(size))                   # complement sums
+        yield rng.integers(0, m + 1, size).astype(np.int32)
+        yield rng.integers(0, m + 1, size).astype(np.uint64)
+
+
+def _out_of_range_cases(rng, m: int):
+    for size in (1, 2, 37, 2_000):
+        for bad in (-1, -1 - int(rng.integers(70_000)), m + 1, m + 1 + int(rng.integers(70_000))):
+            sums = rng.integers(0, m + 1, size)
+            sums[rng.integers(size)] = bad
+            yield sums
+        # Duck-typed float sums, in range: halves must not truncate into ties.
+        yield rng.integers(0, m, size) + rng.choice([0.0, 0.5], size)
+        yield rng.integers(0, m + 1, size).astype(np.float64)
+
+
+@pytest.mark.parametrize("m", ORDER_MS)
+def test_order_by_sums_matches_float_sort(m):
+    rng = np.random.default_rng(m)
+    cases = list(_sums_cases(rng, m)) + list(_out_of_range_cases(rng, m))
+    for sums in cases:
+        fast = _order_by_sums(sums, m)
+        assert np.array_equal(fast, ref_order_by_sums(sums, m)), (m, sums.dtype, sums[:10])
+    assert len(_order_by_sums(np.zeros(0, dtype=np.int64), m)) == 0
+
+
+def test_add_many_matches_mixed_dtype_reference():
+    rng = np.random.default_rng(16)
+    for _ in range(300):
+        n = int(rng.integers(1, 50))
+        fast, slow = EmpiricalState.zeros(n), EmpiricalState.zeros(n)
+        for _ in range(int(rng.integers(1, 5))):
+            arms = rng.integers(0, n, int(rng.integers(1, 3 * n)))    # duplicate arms
+            m = int(rng.choice([1, 7, 10**6, 2**53 + 1]))
+            reward_sums = rng.integers(0, m, len(arms), endpoint=True)
+            fast.add_many(arms, m, reward_sums)
+            ref_add_many(slow, arms, m, reward_sums)
+        assert fast.counts.dtype == slow.counts.dtype and np.array_equal(fast.counts, slow.counts)
+        assert fast.sums.dtype == slow.sums.dtype and np.array_equal(fast.sums, slow.sums)
+
+
 # --- _commit_sweep ----------------------------------------------------------
 
 def _random_pool(rng):
+    # Integer reward sums of m pulls each; the large m take the float sort
+    # in _SortedPool, the rest the integer key.
     size = int(rng.integers(1, 40))
-    levels = int(rng.integers(1, 8))
+    m = int(rng.choice([1, 2, 3, 5, 8, 77, 65535, 10**6]))
     if rng.random() < 0.5:
-        means = rng.integers(0, levels + 1, size) / levels  # heavy ties
+        sums = rng.choice(rng.integers(0, m + 1, int(rng.integers(1, 8))), size)  # heavy ties
     else:
-        means = rng.random(size)
+        sums = rng.integers(0, m + 1, size)
     ids = rng.permutation(1000)[:size]
-    return ids, means
+    return ids, sums, m
 
 
 def test_commit_sweep_matches_loop_on_random_pools():
     rng = np.random.default_rng(3)
     for _ in range(20_000):
-        ids, means = _random_pool(rng)
-        fast, slow = _SortedPool(ids, means), _SortedPool(ids, means)
+        ids, sums, m = _random_pool(rng)
+        fast, slow = _SortedPool(ids, sums, m), _SortedPool(ids, sums, m)
+        order = ref_order_by_sums(sums, m)  # the pool of float means it replaced
+        assert np.array_equal(fast.ids, ids[order]) and np.array_equal(fast.vals, (sums / m)[order])
         size = len(ids)
         if size > 1 and rng.random() < 0.3:
             # A window that earlier commits already narrowed.
