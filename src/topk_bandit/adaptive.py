@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,17 +35,25 @@ __all__ = ["SelectionResult", "adaptive_topk", "adaptive_topk_fixed_budget"]
 class SelectionResult:
     """Outcome of one selection run with full pull accounting.
 
-    Invariants: ``len(selected) == K``; ``accepted_early`` is a subset of
-    ``selected``; ``rejected`` is disjoint from ``selected``; ``total_pulls``
-    equals the sum of ``per_arm_pulls``.
+    ``selected``, ``accepted_early`` and ``rejected`` are sorted, read-only
+    1-D intp arrays of arm ids.  Invariants: ``len(selected) == K``;
+    ``accepted_early`` is a subset of ``selected``; ``rejected`` is disjoint
+    from ``selected``; ``total_pulls`` equals the sum of ``per_arm_pulls``.
     """
 
-    selected: set
+    selected: np.ndarray
     total_pulls: int
     per_arm_pulls: np.ndarray
     rounds_completed: int
-    accepted_early: set = field(default_factory=set)
-    rejected: set = field(default_factory=set)
+    accepted_early: np.ndarray
+    rejected: np.ndarray
+
+
+def _sorted_ids(ids) -> np.ndarray:
+    """Integer ids as a sorted, read-only intp array, the form of every id field."""
+    out = np.sort(np.asarray(ids, dtype=np.intp))
+    out.flags.writeable = False
+    return out
 
 
 class SelectionRun:
@@ -67,22 +75,16 @@ class SelectionRun:
         return self.K in (0, self.env.n)
 
     def result(self, selected, rounds_completed: int, accepted=(), rejected=()) -> SelectionResult:
-        """Build the result; each id collection may be an array or an
-        iterable of ints, and becomes a set of Python ints."""
+        """Build the result from id arrays (or integer sequences) in any order."""
         per_arm = self.env.pull_counts - self._start
         return SelectionResult(
-            selected=_id_set(selected),
+            selected=_sorted_ids(selected),
             total_pulls=int(per_arm.sum()),
             per_arm_pulls=per_arm,
             rounds_completed=rounds_completed,
-            accepted_early=_id_set(accepted),
-            rejected=_id_set(rejected),
+            accepted_early=_sorted_ids(accepted),
+            rejected=_sorted_ids(rejected),
         )
-
-
-def _id_set(ids) -> set:
-    # An array converts in one call rather than one int() per element.
-    return set(ids.tolist() if isinstance(ids, np.ndarray) else (int(i) for i in ids))
 
 
 def _schedule(r: int, tuned: bool) -> float:

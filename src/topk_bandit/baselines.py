@@ -58,18 +58,15 @@ def cb_accept_reject_topk(env, K: int, budget: int) -> SelectionResult:
 
     n = env.n
     state = EmpiricalState.zeros(n)
-    arms = np.arange(n)
-    state.add_many(arms, 1, env.pull_many(arms, 1))
+    u = np.arange(n)  # undecided arms, in id order
+    state.add_many(u, 1, env.pull_many(u, 1))
     remaining = budget - n
 
-    accepted: set = set()
-    rejected: set = set()
-    u = np.arange(n)  # undecided arms, in id order
+    accepted: list = [np.empty(0, dtype=np.intp)]  # one id array per decision step
+    rejected: list = [np.empty(0, dtype=np.intp)]
+    k_rem = K
 
-    while remaining > 0:
-        k_rem = K - len(accepted)
-        if k_rem == 0 or len(u) <= k_rem:
-            break
+    while remaining > 0 and k_rem and len(u) > k_rem:
         means = state.sums[u] / state.counts[u]
         T = max(env.total_pulls(), 2)
         radius = np.sqrt(np.log(_CB_C * n * T * T) / (2.0 * state.counts[u]))
@@ -85,8 +82,9 @@ def cb_accept_reject_topk(env, K: int, budget: int) -> SelectionResult:
         take = head[lcb[head] > ucb[tail].max()]
         drop = tail[ucb[tail] < lcb[head].min()]
         if len(take) or len(drop):
-            accepted.update(u[take].tolist())
-            rejected.update(u[drop].tolist())
+            accepted.append(u[take])
+            rejected.append(u[drop])
+            k_rem -= len(take)
             u = np.delete(u, np.concatenate([take, drop]))
             continue
 
@@ -96,11 +94,8 @@ def cb_accept_reject_topk(env, K: int, budget: int) -> SelectionResult:
         state.add(x, chunk, env.pull_batch(x, chunk))
         remaining -= chunk
 
-    k_rem = K - len(accepted)
-    if k_rem > 0:
-        means = state.sums[u] / state.counts[u]
-        order = np.argsort(-means, kind="stable")
-        final = set(accepted) | set(u[order[:k_rem]].tolist())
-    else:
-        final = set(accepted)
-    return run.result(final, 1, accepted, rejected)
+    accepted = np.concatenate(accepted)
+    # Top up the open slots (none once k_rem is 0) by empirical means.
+    order = np.argsort(-(state.sums[u] / state.counts[u]), kind="stable")
+    final = np.concatenate([accepted, u[order[:k_rem]]])
+    return run.result(final, 1, accepted, np.concatenate(rejected))

@@ -44,6 +44,10 @@ _CONFIG_KEYS = {
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        # Exact flags only: the config-file precedence check compares names.
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)

@@ -50,7 +50,7 @@ class Instance:
             raise ValueError("means must be a non-empty 1-D vector")
         if not np.all((means >= 0.0) & (means <= 1.0)):  # NaN fails both
             raise ValueError("every mean must be a number in [0, 1]")
-        if not isinstance(self.K, numbers.Integral):
+        if not _is_integer(self.K):
             raise ValueError(f"K must be an integer, got {self.K!r}")
         if not 1 <= self.K <= means.size:
             raise ValueError(f"K={self.K} out of range [1, {means.size}]")
@@ -68,9 +68,19 @@ class Instance:
 
 
 def _is_integer(v) -> bool:
-    # The type test first: the ABC isinstance check is far slower, and
-    # scalar pull loops such as cb-ar's pay it on every call.
-    return type(v) is int or isinstance(v, numbers.Integral)
+    # The type test first: the ABC check is far slower, and cb-ar's scalar
+    # pulls pay it on every call.  A bool is Integral, but never a count or id.
+    return type(v) is int or (isinstance(v, numbers.Integral) and not isinstance(v, bool))
+
+
+def _arm_ids(arms) -> np.ndarray:
+    """``arms`` as an intp array; ValueError unless it is a 1-D array of
+    integers (not a mask, a scalar or a set, say) or an empty list."""
+    arms = np.asarray(arms)
+    if arms.ndim != 1 or (arms.size and arms.dtype.kind not in "iu"):
+        raise ValueError(f"arm ids must be a 1-D array of integers, "
+                         f"got shape {arms.shape} and dtype {arms.dtype}")
+    return arms.astype(np.intp, copy=False)
 
 
 def _batch_size(m) -> int:
@@ -132,14 +142,9 @@ class ArmEnvironment:
             ValueError: ``arms`` not a 1-D integer array (a boolean mask or
                 a scalar, say), m not an integer, or m < 1.
         """
-        arms = np.asarray(arms)
+        arms = _arm_ids(arms)
         if arms.size == 0:
             return np.zeros(0, dtype=np.int64)
-        # After the shortcut: an empty list converts to a float array.
-        if arms.ndim != 1 or arms.dtype.kind not in "iu":
-            raise ValueError(f"arm ids must be a 1-D array of integers, "
-                             f"got shape {arms.shape} and dtype {arms.dtype}")
-        arms = arms.astype(np.intp, copy=False)
         if arms.min() < 0 or arms.max() >= self.n:
             raise IndexError("arm index out of range")
         m = _batch_size(m)
@@ -251,11 +256,6 @@ class EmpiricalState:
         # a far slower casting path.  That path casts each value the same
         # way, so the tallies are unchanged.
         np.add.at(self.sums, arms, np.asarray(reward_sums, dtype=np.float64))
-
-    def mean(self, arm: int) -> float:
-        if self.counts[arm] == 0:
-            raise ValueError(f"arm {arm} has no observations")
-        return float(self.sums[arm] / self.counts[arm])
 
     def means(self) -> np.ndarray:
         """Empirical means, NaN where an arm has no observations."""

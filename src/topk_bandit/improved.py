@@ -26,8 +26,8 @@ import math
 
 import numpy as np
 
-from .adaptive import SelectionResult, SelectionRun
-from .env import ComplementEnvironment
+from .adaptive import SelectionResult, SelectionRun, _sorted_ids
+from .env import ComplementEnvironment, _arm_ids
 
 __all__ = [
     "est_kth_arm",
@@ -106,7 +106,7 @@ def est_kth_arm(env, S, K: int, tau: float, phi: float, delta: float, rng=None):
     Returns:
         (arm index, its latest empirical mean).
     """
-    arms = np.asarray(list(S), dtype=np.intp)
+    arms = _arm_ids(S)
     if not 1 <= K <= len(arms):
         raise ValueError(f"need 1 <= K <= |S|; got K={K}, |S|={len(arms)}")
     for name, v in (("tau", tau), ("phi", phi), ("delta", delta)):
@@ -122,7 +122,7 @@ def est_kth_arm(env, S, K: int, tau: float, phi: float, delta: float, rng=None):
     return int(arms[kept[pick]]), float(means[pick])
 
 
-def eps_split(env, S, K: int, tau: float, phi: float, delta: float) -> set:
+def eps_split(env, S, K: int, tau: float, phi: float, delta: float) -> np.ndarray:
     """Split S at the top-K boundary, valid when the surrounding gap is wide.
 
     Runs the halving core down to about (1 - tau) * K survivors and tops the
@@ -132,11 +132,11 @@ def eps_split(env, S, K: int, tau: float, phi: float, delta: float) -> set:
     least 1 - delta (the precondition is not checkable from samples; harness
     code that knows the means enforces it).
     """
-    arms = np.asarray(sorted(int(a) for a in S), dtype=np.intp)
+    arms = np.sort(_arm_ids(S))
     if not 1 <= K <= len(arms):
         raise ValueError(f"need 1 <= K <= |S|; got K={K}, |S|={len(arms)}")
     if K == len(arms):
-        return set(int(a) for a in arms)
+        return _sorted_ids(arms)
     if not 0.0 < tau < 1.0:
         raise ValueError("tau must lie in (0, 1)")
     k_target = _clamp(_round_half_up((1.0 - tau) * K), 1, K)
@@ -144,12 +144,10 @@ def eps_split(env, S, K: int, tau: float, phi: float, delta: float) -> set:
     if len(kept) < K:
         # "any arms" would do for the contract; the freshest means are free.
         # ``arms`` is sorted, so a stable sort breaks ties by arm id.
-        rest = np.ones(len(arms), dtype=bool)
-        rest[kept] = False
-        rest = np.flatnonzero(rest)
+        rest = np.setdiff1d(np.arange(len(arms)), kept, assume_unique=True)
         top_up = rest[np.argsort(-last_seen[rest], kind="stable")[: K - len(kept)]]
         kept = np.concatenate([kept, top_up])
-    return set(arms[kept].tolist())
+    return _sorted_ids(arms[kept])
 
 
 def _elim_pulls(phi: float, gamma: float, delta: float) -> int:
@@ -162,8 +160,8 @@ def elim_cost(size: int, gamma: float, phi: float, delta: float) -> int:
     return size * _elim_pulls(phi, gamma, delta)
 
 
-def _elim_core(env, S, gamma: float, phi: float, delta: float, reverse: bool):
-    arms = np.asarray(sorted(int(a) for a in S), dtype=np.intp)
+def _elim_core(env, S, gamma: float, phi: float, delta: float, reverse: bool) -> np.ndarray:
+    arms = np.sort(_arm_ids(S))
     if len(arms) == 0:
         raise ValueError("S must be non-empty")
     for pname, v in (("gamma", gamma), ("phi", phi), ("delta", delta)):
@@ -176,10 +174,10 @@ def _elim_core(env, S, gamma: float, phi: float, delta: float, reverse: bool):
         order = np.argsort(-means, kind="stable")
     else:
         order = np.argsort(means, kind="stable")
-    return set(int(a) for a in arms[order[:t_size]])
+    return _sorted_ids(arms[order[:t_size]])
 
 
-def elim(env, S, K: int, gamma: float, phi: float, delta: float) -> set:
+def elim(env, S, K: int, gamma: float, phi: float, delta: float) -> np.ndarray:
     """Discard candidates: the ceil(|S|/10) arms with the smallest means.
 
     Contract (when theta_(K) - theta_((|S|+K)/2) >= phi and K <= 2|S|/3):
@@ -189,7 +187,7 @@ def elim(env, S, K: int, gamma: float, phi: float, delta: float) -> set:
     return _elim_core(env, S, gamma, phi, delta, reverse=False)
 
 
-def reverse_elim(env, S, K: int, gamma: float, phi: float, delta: float) -> set:
+def reverse_elim(env, S, K: int, gamma: float, phi: float, delta: float) -> np.ndarray:
     """Mirror image of :func:`elim`: returns the ceil(|S|/10) largest-mean arms.
 
     Contract (when theta_(K/2) - theta_(K) >= phi and K >= |S|/3): with
@@ -208,7 +206,7 @@ def opt_mai_cost(size: int, epsilon: float, delta: float) -> int:
     return size * _opt_mai_pulls(size, epsilon, delta)
 
 
-def opt_mai(env, S, K: int, epsilon: float, delta: float) -> set:
+def opt_mai(env, S, K: int, epsilon: float, delta: float) -> np.ndarray:
     """PAC selection of K arms from S with aggregate regret <= epsilon.
 
     Interface-compatible stand-in: uniform allocation sized by a union bound,
@@ -216,19 +214,20 @@ def opt_mai(env, S, K: int, epsilon: float, delta: float) -> set:
     allocation-optimal selector it replaces, with an extra log|S| factor in
     the pull count.
     """
-    arms = np.asarray(sorted(int(a) for a in S), dtype=np.intp)
+    arms = np.sort(_arm_ids(S))
     if not 0 <= K <= len(arms):
         raise ValueError(f"need 0 <= K <= |S|; got K={K}, |S|={len(arms)}")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
-    if K == 0:
-        return set()
-    if K == len(arms) or epsilon >= 1.0:
-        return set(int(a) for a in arms[:K])
+    if K in (0, len(arms)) or epsilon >= 1.0:
+        return _sorted_ids(arms[:K])
     m = _opt_mai_pulls(len(arms), epsilon, delta)
     means = env.pull_many(arms, m) / m
     order = np.argsort(-means, kind="stable")
-    return set(int(a) for a in arms[order[:K]])
+    return _sorted_ids(arms[order[:K]])
+
+
+_UNDECIDED, _ACCEPTED, _REJECTED = 0, 1, 2
 
 
 def improved_topk(env, K: int, epsilon: float, delta: float) -> SelectionResult:
@@ -247,20 +246,22 @@ def improved_topk(env, K: int, epsilon: float, delta: float) -> SelectionResult:
     n = env.n
     if 2 * K > n:
         inner = improved_topk(ComplementEnvironment(env), n - K, epsilon, delta)
-        selected = set(range(n)) - inner.selected
+        selected = np.setdiff1d(np.arange(n), inner.selected, assume_unique=True)
         return run.result(selected, inner.rounds_completed, inner.rejected, inner.accepted_early)
 
     rng = env.spawn_rng()
-    S = list(range(n))
-    A: set = set()
-    B: set = set()
+    # Per arm: undecided, accepted early (A) or rejected (B).  S, the
+    # undecided arms, is read in ascending id order, the order of its pulls.
+    state = np.full(n, _UNDECIDED, dtype=np.int8)
+    S = np.arange(n)
+    chosen = np.empty(0, dtype=np.intp)  # the finishing subroutine's picks from S
+    k_rem = K
     r = 1
     r_phi = 1
     K_L = (1.0 - epsilon * epsilon) * K
     K_R = (1.0 + epsilon * epsilon) * K + 1.0
 
-    while S:
-        k_rem = K - len(A)
+    while len(S):
         r_phi -= 1
         while True:
             r_phi += 1
@@ -270,11 +271,9 @@ def improved_topk(env, K: int, epsilon: float, delta: float) -> SelectionResult:
             cond1 = 10.0 * k_rem * phi < K * epsilon
             if cond1:
                 # No estimates needed; the uncertainty already fits the budget.
-                theta_K_plus = theta_K_minus = theta_plus = theta_minus = None
-                cond2 = cond3 = cond4 = False
                 break
-            kp_hi = _clamp(_round_half_up(K_R - len(A)), 1, len(S))
-            kp_lo = _clamp(_round_half_up(K_L - len(A)), 1, len(S))
+            kp_hi = _clamp(_round_half_up(K_R - (K - k_rem)), 1, len(S))
+            kp_lo = _clamp(_round_half_up(K_L - (K - k_rem)), 1, len(S))
             kp_mid_tail = _clamp(_round_half_up((len(S) + k_rem) / 2.0), 1, len(S))
             kp_mid_head = _clamp(_round_half_up(k_rem / 2.0), 1, len(S))
             _, theta_K_plus = est_kth_arm(env, S, kp_hi, tau, phi, d_sub, rng=rng)
@@ -286,11 +285,12 @@ def improved_topk(env, K: int, epsilon: float, delta: float) -> SelectionResult:
             tail_sep = theta_minus - theta_K_minus > 3.0 * phi
             cond3 = (k_rem <= len(S) / 2.0) and head_sep
             cond4 = (k_rem > len(S) / 2.0) and head_sep and tail_sep
-            if cond1 or cond2 or cond3 or cond4:
+            if cond2 or cond3 or cond4:
                 break
 
         if cond1:
-            return run.result(opt_mai(env, S, k_rem, phi, delta / 100.0) | A, r, A, B)
+            chosen = opt_mai(env, S, k_rem, phi, delta / 100.0)
+            break
         if cond2:
             tau_split = (K_R - K_L) / k_rem
             if tau_split < 1.0 and _round_half_up((1.0 - tau_split) * k_rem) >= 1:
@@ -299,27 +299,25 @@ def improved_topk(env, K: int, epsilon: float, delta: float) -> SelectionResult:
                 # The split ratio collapses on small sets; a direct PAC
                 # selection at the budget's share of the tolerance is safe.
                 chosen = opt_mai(env, S, k_rem, K * epsilon / (10.0 * k_rem), delta / 100.0)
-            return run.result(chosen | A, r, A, B)
+            break
 
         u_size = math.ceil(len(S) / 10)
         if len(S) - u_size < k_rem:
             # Shedding a tenth would cut into arms we must return.
             chosen = opt_mai(env, S, k_rem, K * epsilon / (10.0 * k_rem), delta / 100.0)
-            return run.result(chosen | A, r, A, B)
+            break
         gamma = epsilon * epsilon / (100.0 * r * r)
         d_round = delta / (100.0 * r * r)
         U = elim(env, S, k_rem, gamma, phi, d_round)
-        V = set()
+        state[U] = _REJECTED
         if k_rem > len(S) / 2.0:
             V = reverse_elim(env, S, k_rem, gamma, phi, d_round)
-            V -= U  # tiny sets can overlap; a committed arm must not be discarded
-            if len(V) > k_rem:
-                V = set(sorted(V)[:k_rem])
+            # Tiny sets can overlap; a committed arm must not be discarded.
+            V = np.setdiff1d(V, U)[:k_rem]
+            state[V] = _ACCEPTED
+            k_rem -= len(V)
         r += 1
-        S = [a for a in S if a not in U and a not in V]
-        A |= V
-        B |= U
-        assert len(A) + len(B) + len(S) == n
-        assert A.isdisjoint(B) and A.isdisjoint(S) and B.isdisjoint(S)
+        S = np.flatnonzero(state == _UNDECIDED)
 
-    return run.result(A, r, A, B)
+    A = np.flatnonzero(state == _ACCEPTED)
+    return run.result(np.concatenate([chosen, A]), r, A, np.flatnonzero(state == _REJECTED))

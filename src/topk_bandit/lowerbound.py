@@ -217,7 +217,7 @@ def reduction_run(algorithm, n: int, K: int, eta: float, epsilon: float, C: int,
     """Answer the coin question by running a top-K selection on a hard bandit.
 
     The selection algorithm (a callable ``algorithm(env, K, epsilon, delta)``
-    returning a result with a ``selected`` set) is run at the scaled-down
+    returning a result with ``selected`` arm ids) is run at the scaled-down
     tolerance eta * epsilon / 4 and failure probability 0.1.  The run gives
     up when the special arm is tossed more than 20 * C / n times; afterwards
     the selection is verified against the known values of the constructed
@@ -243,12 +243,13 @@ def reduction_run(algorithm, n: int, K: int, eta: float, epsilon: float, C: int,
         result = algorithm(watched, K, eps_prime, 0.1)
     except _GiveUp:
         return "unknown"
-    selected = set(int(a) for a in result.selected)
+    # Any iterable of ints will do; a repeated id counts once.
+    selected = np.unique(np.fromiter(result.selected, dtype=np.intp))
 
-    known = [a for a in selected if a != hard.special_index]
-    if not known:
+    known = selected[selected != hard.special_index]
+    if not len(known):
         return "unknown"
-    high = sum(1 for a in known if a in hard.planted)
+    high = int(np.count_nonzero(np.isin(known, np.fromiter(hard.planted, dtype=np.intp))))
     rho = (high * (0.5 + eta) + (len(known) - high) * (0.5 - eta)) / len(known)
     if rho < (0.5 + eta) - (eps_prime + 2.0 * eta / K):
         return "unknown"

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -113,6 +115,25 @@ def test_experiment_config_file_with_flag_override(capsys, tmp_path):
     assert code == EXIT_OK
     assert b",5," in out1.read_bytes()
     assert b",3," in out2.read_bytes()
+
+
+@pytest.mark.parametrize("flags, code, algos, trials", [
+    (["--trials", "2"], EXIT_OK, ["uniform", "cb-ar"], "2"),
+    ([], EXIT_OK, ["uniform", "cb-ar"], "7"),
+    (["--algo", "adaptive-fb"], EXIT_OK, ["adaptive-fb"], "7"),
+    # An abbreviation would slip past the precedence check and lose to the file.
+    (["--tri", "2"], EXIT_USAGE, None, None),
+], ids=["flag-wins", "file-fills-omitted-flag", "algo-replaces-algos", "abbreviation"])
+def test_config_file_precedence(capsys, tmp_path, flags, code, algos, trials):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("trials = 7\nalgos = uniform,cb-ar\n")
+    got, out, _ = run_cli(capsys, "experiment", "--config", str(cfg), "--instance", "two-group",
+                          "--n", "12", "--k", "3", "--budgets", "60", *flags)
+    assert got == code
+    if code == EXIT_OK:
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [r["algorithm"] for r in rows] == algos
+        assert {r["trials"] for r in rows} == {trials}
 
 
 def test_seed_env_fallback(capsys, tmp_path, monkeypatch):

@@ -139,6 +139,21 @@ def test_rejects_non_integer_pull_requests(view, request_):
     assert env.pull_many([0, 1, 2], 9).tolist() == fresh.pull_many([0, 1, 2], 9).tolist()
 
 
+@pytest.mark.parametrize("call", [
+    lambda env: Instance(np.array([0.2, 0.5, 0.8]), True, 0.1, 0.1),
+    lambda env: env.pull_many([0, 1], True),
+    lambda env: env.pull_batch(0, True),
+    lambda env: env.pull_batch(True, 2),
+], ids=["K", "pull-many-m", "pull-batch-m", "arm"])
+def test_rejects_bool_where_an_integer_is_required(call):
+    # bool is a numbers.Integral, but True is not a count or an arm id.
+    env, fresh = make_env([0.2, 0.5, 0.8], seed=5), make_env([0.2, 0.5, 0.8], seed=5)
+    with pytest.raises(ValueError, match="integer"):
+        call(env)
+    assert env.total_pulls() == 0
+    assert env.pull_many([0, 1, 2], 9).tolist() == fresh.pull_many([0, 1, 2], 9).tolist()
+
+
 def test_scalar_pull_batch_draws_as_a_one_arm_pull_many():
     # Views answer pull_batch through pull_many, so a scalar draw and a
     # size-1 array draw must take the same value from the reward stream.
@@ -196,16 +211,12 @@ def test_spawn_rng_is_deterministic_and_fresh():
 
 class TestEmpiricalState:
     def test_means_and_bernoulli_bound(self):
-        st = EmpiricalState.zeros(3)
+        st = EmpiricalState.zeros(4)
         st.add(0, 10, 7)
         st.add_many(np.array([1, 2]), 4, np.array([4, 0]))
-        assert st.mean(0) == pytest.approx(0.7)
-        assert st.mean(1) == 1.0
-        assert st.mean(2) == 0.0
+        means = st.means()
+        assert means[0] == pytest.approx(0.7)
+        assert means[1] == 1.0
+        assert means[2] == 0.0
+        assert np.isnan(means[3])  # no observations
         assert np.all(st.sums <= st.counts)
-
-    def test_mean_undefined_without_observations(self):
-        st = EmpiricalState.zeros(2)
-        with pytest.raises(ValueError):
-            st.mean(1)
-        assert np.isnan(st.means()[1])

@@ -112,7 +112,7 @@ def ref_cb_accept_reject_topk(env, K: int, budget: int) -> SelectionResult:
         final = set(accepted) | set(int(u[i]) for i in order[:k_rem])
     else:
         final = set(accepted)
-    return run.result(final, 1, accepted, rejected)
+    return run.result(sorted(final), 1, sorted(accepted), sorted(rejected))
 
 
 def ref_halving(env, arms: np.ndarray, k_target: int, tau: float, phi: float, delta: float):
@@ -328,12 +328,12 @@ def test_cb_accept_reject_matches_loop(means, K, budget, seed):
     fast_env, slow_env = _env(means, K, seed), _env(means, K, seed)
     fast = cb_accept_reject_topk(fast_env, K, budget)
     slow = ref_cb_accept_reject_topk(slow_env, K, budget)
-    assert fast.selected == slow.selected
-    assert fast.accepted_early == slow.accepted_early
-    assert fast.rejected == slow.rejected
+    assert fast.selected.tolist() == slow.selected.tolist()
+    assert fast.accepted_early.tolist() == slow.accepted_early.tolist()
+    assert fast.rejected.tolist() == slow.rejected.tolist()
     assert np.array_equal(fast.per_arm_pulls, slow.per_arm_pulls)
     assert (fast.total_pulls, fast.rounds_completed) == (slow.total_pulls, slow.rounds_completed)
-    assert all(type(a) is int for a in fast.selected | fast.accepted_early | fast.rejected)
+    assert all(ids.dtype == np.intp for ids in (fast.selected, fast.accepted_early, fast.rejected))
 
 
 # --- _halving and eps_split -------------------------------------------------
@@ -374,10 +374,9 @@ def test_eps_split_matches_loop():
         means, S, tau, phi, delta = _halving_case(rng)
         K = int(rng.integers(1, len(S) + 1))
         fast_env, slow_env = _env(means, 1, seed), _env(means, 1, seed)
-        fast = eps_split(fast_env, set(S.tolist()), K, tau, phi, delta)
+        fast = eps_split(fast_env, S, K, tau, phi, delta)  # S unsorted
         slow = ref_eps_split(slow_env, set(S.tolist()), K, tau, phi, delta)
-        assert fast == slow
-        assert list(fast) == list(slow)  # same insertion order too
+        assert fast.tolist() == sorted(slow)
         _same_env_state(fast_env, slow_env)
         topped_up += _round_half_up((1.0 - tau) * K) < K < len(S)
     assert topped_up > 50

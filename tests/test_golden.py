@@ -33,7 +33,7 @@ def _env(seed, means=MEANS, k=K):
 
 def _parts(res):
     return [sorted(int(a) for a in res.selected), [int(p) for p in res.per_arm_pulls],
-            res.rounds_completed, sorted(res.accepted_early), sorted(res.rejected)]
+            res.rounds_completed, sorted(res.accepted_early.tolist()), sorted(res.rejected.tolist())]
 
 
 def _traced_rounds(select, seed):
@@ -100,7 +100,7 @@ CASES = {
     "improved": lambda: _parts(improved_topk(_env(4), K, 0.2, DELTA)),
     "uniform": lambda: _parts(uniform_topk(_env(5), K, 1_234)),
     "cb-ar": lambda: _parts(cb_accept_reject_topk(_env(6), K, 1_500)),
-    "optmai": lambda: (lambda env: [sorted(opt_mai(env, range(N), K, 0.2, DELTA)),
+    "optmai": lambda: (lambda env: [sorted(opt_mai(env, range(N), K, 0.2, DELTA).tolist()),
                                     env.pull_counts.tolist()])(_env(7)),
     # Paths that only some inputs reach.
     "adaptive-tuned": lambda: _parts(adaptive_topk(_env(8), K, EPS, DELTA, tuned=True)),
@@ -110,7 +110,7 @@ CASES = {
     "record-rounds": lambda: _traced_rounds(lambda env: adaptive_topk(env, K, EPS, DELTA), 12),
     "record-rounds-fixed-budget": lambda: _traced_rounds(
         lambda env: adaptive_topk_fixed_budget(env, K, 20_000, delta=DELTA), 13),
-    "eps-split": lambda: (lambda env: [sorted(eps_split(env, range(N), 10, 0.3, 0.1, DELTA)),
+    "eps-split": lambda: (lambda env: [sorted(eps_split(env, range(N), 10, 0.3, 0.1, DELTA).tolist()),
                                        env.pull_counts.tolist()])(_env(15)),
     # A set that already fits gets one calibration pass, which must keep the
     # input order: the random pick indexes into it.

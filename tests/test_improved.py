@@ -99,7 +99,7 @@ class TestEstKthArm:
 class TestEpsSplit:
     def test_k_equals_set_size_returns_everything_free(self):
         env = make_env([0.9, 0.1, 0.5], K=3)
-        assert eps_split(env, range(3), 3, 0.2, 0.1, 0.2) == {0, 1, 2}
+        assert eps_split(env, range(3), 3, 0.2, 0.1, 0.2).tolist() == [0, 1, 2]
         assert env.total_pulls() == 0
 
     def test_regret_contract_under_wide_gap(self):
@@ -153,10 +153,40 @@ class TestElim:
         assert bad <= 6
 
 
+# Each subroutine that returns arms, called on S at K = 4.
+ARM_SUBROUTINES = {
+    "eps_split": lambda env, S: eps_split(env, S, 4, 0.3, 0.2, 0.1),
+    "elim": lambda env, S: elim(env, S, 4, 0.1, 0.3, 0.1),
+    "reverse_elim": lambda env, S: reverse_elim(env, S, 4, 0.1, 0.3, 0.1),
+    "opt_mai": lambda env, S: opt_mai(env, S, 4, 0.2, 0.1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARM_SUBROUTINES))
+def test_subroutines_take_and_return_sorted_id_arrays(name):
+    means = np.random.default_rng(2).random(20)
+    S = np.array([17, 3, 11, 5, 0, 8, 13, 2, 19, 7, 6, 14])
+    out = ARM_SUBROUTINES[name](make_env(means, seed=3), S)
+    assert out.ndim == 1 and out.dtype == np.intp
+    assert np.all(np.diff(out) > 0) and np.isin(out, S).all()
+    # S is read in ascending id order, whatever order it comes in.
+    same = ARM_SUBROUTINES[name](make_env(means, seed=3), np.sort(S))
+    assert out.tolist() == same.tolist()
+
+
+@pytest.mark.parametrize("name", sorted(ARM_SUBROUTINES) + ["est_kth_arm"])
+def test_subroutines_reject_a_set(name):
+    call = ARM_SUBROUTINES.get(name, lambda env, S: est_kth_arm(env, S, 4, 0.3, 0.2, 0.1))
+    env = make_env(np.random.default_rng(2).random(20))
+    with pytest.raises(ValueError, match="1-D array of integers"):
+        call(env, set(range(12)))
+    assert env.total_pulls() == 0
+
+
 class TestOptMai:
     def test_whole_set_is_free(self):
         env = make_env([0.4, 0.6], K=2)
-        assert opt_mai(env, [0, 1], 2, 0.1, 0.1) == {0, 1}
+        assert opt_mai(env, [0, 1], 2, 0.1, 0.1).tolist() == [0, 1]
         assert env.total_pulls() == 0
 
     def test_vacuous_tolerance_is_free(self):
@@ -210,15 +240,27 @@ class TestImprovedTopK:
         for (S, k, tau, phi, delta), pulls in est_calls:
             assert pulls == est_kth_arm_cost(len(S), k, tau, phi, delta)
 
+    def test_undecided_arms_are_read_in_ascending_id_order(self, subroutine_calls):
+        # S's order fixes which arm each reward draw goes to.  This run sheds
+        # arms through elim and reverse_elim before opt_mai finishes it.
+        env, _, _ = shuffled_trial(gen_uniform(60), 30, 0.2, 0.1, (5, 30))
+        res = improved_topk(env, 30, 0.2, 0.1)
+        assert {"elim", "reverse_elim"} <= {name for name, _, _ in subroutine_calls}
+        for name, (S, *_), _ in subroutine_calls:
+            assert np.all(np.diff(S) > 0), name
+        last_S = subroutine_calls[-1][1][0]
+        decided = np.concatenate([res.accepted_early, res.rejected])
+        assert np.array_equal(last_S, np.setdiff1d(np.arange(60), decided))
+
     def test_degenerate_cases(self):
         env = make_env([0.1, 0.9, 0.5], K=3)
-        assert improved_topk(env, 3, 0.1, 0.1).selected == {0, 1, 2}
-        assert improved_topk(env, 0, 0.1, 0.1).selected == set()
+        assert improved_topk(env, 3, 0.1, 0.1).selected.tolist() == [0, 1, 2]
+        assert improved_topk(env, 0, 0.1, 0.1).selected.tolist() == []
         assert env.total_pulls() == 0
 
     def test_result_partition(self):
         env, _, _ = shuffled_trial(gen_two_group(30, 6), 6, 0.05, 0.1, (79, 0))
         res = improved_topk(env, 6, 0.05, 0.1)
         assert len(res.selected) == 6
-        assert res.accepted_early <= res.selected
-        assert not (res.rejected & res.selected)
+        assert np.isin(res.accepted_early, res.selected).all()
+        assert not np.isin(res.rejected, res.selected).any()

@@ -116,9 +116,11 @@ class TestHardInstance:
 
 def _fixed_answer_algorithm(selection):
     def algo(env, K, eps, delta):
+        # reduction_run reads any iterable of ints as the selection.
+        none = np.empty(0, dtype=np.intp)
         return SelectionResult(selected=set(selection), total_pulls=0,
                                per_arm_pulls=np.zeros(env.n, dtype=np.int64),
-                               rounds_completed=0)
+                               rounds_completed=0, accepted_early=none, rejected=none)
     return algo
 
 

@@ -39,6 +39,12 @@ def _fields(res):
             res.rounds_completed, sorted(res.accepted_early), sorted(res.rejected)]
 
 
+def _id_fields(res):
+    if not isinstance(res, SelectionResult):  # opt_mai returns the selection alone
+        return res, res[:0], res[:0]
+    return res.selected, res.accepted_early, res.rejected
+
+
 def _traced_pulls(trace, n):
     per_arm = np.zeros(n, dtype=np.int64)
     for arms, m, sums in trace.events:
@@ -64,6 +70,20 @@ def test_traced_run_equals_untraced_run(name, K):
     assert np.array_equal(_traced_pulls(trace, N), plain.pull_counts)
     assert np.array_equal(inner.pull_counts, plain.pull_counts)
     assert trace.pull_many(np.arange(N), 7).tolist() == plain.pull_many(np.arange(N), 7).tolist()
+
+
+@pytest.mark.parametrize("K", [6, 22])
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_result_ids_are_sorted_read_only_arrays(name, K):
+    env = ArmEnvironment(Instance(MEANS, K, 0.1, 0.1), seed=K)
+    selected, accepted, rejected = _id_fields(CALLS[name](env, K))
+    for ids in (selected, accepted, rejected):
+        assert ids.ndim == 1 and ids.dtype == np.intp
+        assert np.all(np.diff(ids) > 0)  # sorted, no id twice
+        assert not ids.flags.writeable
+    assert len(selected) == K
+    assert np.isin(accepted, selected).all()
+    assert not np.isin(rejected, selected).any()
 
 
 @pytest.mark.parametrize("select, C, seed, gives_up", [
