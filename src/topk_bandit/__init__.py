@@ -8,7 +8,7 @@ calculator, and a seeded, reproducible benchmark harness.
 from .adaptive import SelectionResult, adaptive_topk, adaptive_topk_fixed_budget
 from .baselines import cb_accept_reject_topk, uniform_topk
 from .bench import ExperimentConfig, ExperimentReport, default_budget_grid, run_experiment
-from .env import ArmEnvironment, ComplementEnvironment, EmpiricalState, Instance, PullTrace
+from .env import ArmEnvironment, ComplementEnvironment, Instance, PullTrace
 from .hardness import HardnessReport, aggregate_regret, gaps, hardness, is_eps_top_k, psi_quantities, t_of
 from .improved import (
     elim,
@@ -35,7 +35,6 @@ __all__ = [
     "ArmEnvironment",
     "ComplementEnvironment",
     "CoinTossingInstance",
-    "EmpiricalState",
     "ExperimentConfig",
     "ExperimentReport",
     "HardBanditInstance",

@@ -12,21 +12,19 @@ empirical means.
 A fixed-budget variant drops the stopping rule and simply runs rounds until
 the pull budget is exhausted.
 
-The ``tuned`` flag switches to a gentler geometric schedule (1.01^{-r}) with
-a more aggressive commit threshold (one third of the scale instead of twice);
-it trades the per-round guarantee for smoother budget growth and is off by
-default.
+The fixed-budget variant's ``tuned`` flag switches to a gentler geometric
+schedule (1.01^{-r}) with a more aggressive commit threshold (one third of the
+scale instead of twice); it trades the per-round guarantee for smoother budget
+growth and is off by default.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
-
-from .env import EmpiricalState
 
 __all__ = ["SelectionResult", "adaptive_topk", "adaptive_topk_fixed_budget"]
 
@@ -47,6 +45,12 @@ class SelectionResult:
     rounds_completed: int
     accepted_early: np.ndarray
     rejected: np.ndarray
+
+    def __eq__(self, other):
+        # The generated __eq__ compares the array fields with ``==`` and raises.
+        if not isinstance(other, SelectionResult):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
 
 def _sorted_ids(ids) -> np.ndarray:
@@ -69,14 +73,23 @@ class SelectionRun:
         self.env = env
         self.K = K
         self._start = env.pull_counts.copy()
+        self._start_total = env.total_pulls()
 
     def trivial(self) -> bool:
         """True when K is 0 or n: the answer needs no pulls."""
         return self.K in (0, self.env.n)
 
+    def spent(self) -> int:
+        """Pulls made since construction."""
+        return self.env.total_pulls() - self._start_total
+
+    def pulls(self) -> np.ndarray:
+        """Per-arm pulls made since construction."""
+        return self.env.pull_counts - self._start
+
     def result(self, selected, rounds_completed: int, accepted=(), rejected=()) -> SelectionResult:
         """Build the result from id arrays (or integer sequences) in any order."""
-        per_arm = self.env.pull_counts - self._start
+        per_arm = self.pulls()
         return SelectionResult(
             selected=_sorted_ids(selected),
             total_pulls=int(per_arm.sum()),
@@ -205,7 +218,7 @@ def _round_loop(env, K: int, delta: float, tuned: bool, more, observe=None):
     return np.concatenate(accepted), np.concatenate(rejected), survivors, k_rem, r
 
 
-def adaptive_topk(env, K: int, epsilon: float, delta: float, tuned: bool = False) -> SelectionResult:
+def adaptive_topk(env, K: int, epsilon: float, delta: float) -> SelectionResult:
     """Fixed-confidence selection: returns K arms whose aggregate regret is
     at most ``epsilon`` with probability at least 1 - ``delta``.
 
@@ -214,7 +227,6 @@ def adaptive_topk(env, K: int, epsilon: float, delta: float, tuned: bool = False
         K: number of arms to return, 0 <= K <= env.n.
         epsilon: regret tolerance, > 0.
         delta: failure probability, in (0, 1).
-        tuned: use the smoothed schedule (see module docstring).
     """
     run = SelectionRun(env, K)
     if not epsilon > 0:
@@ -228,8 +240,8 @@ def adaptive_topk(env, K: int, epsilon: float, delta: float, tuned: bool = False
     # The stopping rule is evaluated with the scale of the round just
     # completed (2^0 = 1 before any round, which always admits epsilon < 2).
     accepted, rejected, survivors, k_rem, r = _round_loop(
-        env, K, delta, tuned,
-        lambda r, k_rem, cost: 2.0 * _schedule(r, tuned) * k_rem > epsilon * K)
+        env, K, delta, False,
+        lambda r, k_rem, cost: 2.0 * _schedule(r, False) * k_rem > epsilon * K)
     return run.result(np.concatenate([accepted, survivors[:k_rem]]), r, accepted, rejected)
 
 
@@ -241,8 +253,8 @@ def adaptive_topk_fixed_budget(env, K: int, budget: int, delta: float = 0.01,
     remaining budget is spread uniformly over the surviving arms (the first
     few survivors absorb the remainder), and the open slots are filled by the
     best per-arm means pooled over every pull of the run, so no observation
-    is wasted.  A budget below n degrades to single pulls on the first
-    ``budget`` arms followed by ranking.
+    is wasted.  A budget below n runs no round: it pulls the first
+    ``budget`` arms once each, and the never-pulled arms rank last.
 
     ``delta`` only shapes the per-round pull counts (default mirrors the
     benchmark protocol); there is no confidence guarantee in this mode.
@@ -255,27 +267,24 @@ def adaptive_topk_fixed_budget(env, K: int, budget: int, delta: float = 0.01,
     if run.trivial():
         return run.result(range(K), 0)
 
-    n = env.n
-    state = EmpiricalState.zeros(n)
-    if budget < n:
-        # Documented degradation: not even one sweep fits.
-        head = np.arange(budget)
-        state.add_many(head, 1, env.pull_many(head, 1))
-        order = np.argsort(-np.nan_to_num(state.means(), nan=-1.0), kind="stable")
-        return run.result(order[:K], 0)
+    # Reward sums of every pull of the run; ``run`` counts the pulls.
+    sums = np.zeros(env.n)
 
-    # ``state`` tallies every pull of the run, so budget - its count is what
-    # is left.
+    def observe(arms, m, rewards):
+        sums[arms] += rewards  # distinct ids: survivors never repeat
+
     accepted, rejected, survivors, k_rem, r = _round_loop(
-        env, K, delta, tuned,
-        lambda r, k_rem, cost: cost <= budget - state.counts.sum(), state.add_many)
+        env, K, delta, tuned, lambda r, k_rem, cost: cost <= budget - run.spent(), observe)
     if k_rem >= 1 and len(survivors) > k_rem:
         # The budget ran out first: spread the rest over the survivors and
         # rank them by means pooled over every pull of the run.
-        q, extra = divmod(budget - int(state.counts.sum()), len(survivors))
+        q, extra = divmod(budget - run.spent(), len(survivors))
         if q:
-            state.add_many(survivors, q, env.pull_many(survivors, q))
+            observe(survivors, q, env.pull_many(survivors, q))
         if extra:
-            state.add_many(survivors[:extra], 1, env.pull_many(survivors[:extra], 1))
-        survivors = survivors[np.argsort(-state.means()[survivors], kind="stable")]
+            observe(survivors[:extra], 1, env.pull_many(survivors[:extra], 1))
+        # 0/0 is NaN for an arm never pulled, which a stable sort puts last.
+        with np.errstate(invalid="ignore"):
+            means = sums[survivors] / run.pulls()[survivors]
+        survivors = survivors[np.argsort(-means, kind="stable")]
     return run.result(np.concatenate([accepted, survivors[:k_rem]]), r, accepted, rejected)

@@ -13,7 +13,6 @@ import math
 import numpy as np
 
 from .adaptive import SelectionResult, SelectionRun, _order_by_sums
-from .env import EmpiricalState
 
 __all__ = ["uniform_topk", "cb_accept_reject_topk"]
 
@@ -57,9 +56,9 @@ def cb_accept_reject_topk(env, K: int, budget: int) -> SelectionResult:
         return run.result(range(K), 1)
 
     n = env.n
-    state = EmpiricalState.zeros(n)
     u = np.arange(n)  # undecided arms, in id order
-    state.add_many(u, 1, env.pull_many(u, 1))
+    counts = np.ones(n, dtype=np.int64)  # per-arm pulls and reward sums
+    sums = env.pull_many(u, 1).astype(np.float64)
     remaining = budget - n
 
     accepted: list = [np.empty(0, dtype=np.intp)]  # one id array per decision step
@@ -67,9 +66,9 @@ def cb_accept_reject_topk(env, K: int, budget: int) -> SelectionResult:
     k_rem = K
 
     while remaining > 0 and k_rem and len(u) > k_rem:
-        means = state.sums[u] / state.counts[u]
+        means = sums[u] / counts[u]
         T = max(env.total_pulls(), 2)
-        radius = np.sqrt(np.log(_CB_C * n * T * T) / (2.0 * state.counts[u]))
+        radius = np.sqrt(np.log(_CB_C * n * T * T) / (2.0 * counts[u]))
 
         order = np.argsort(-means, kind="stable")
         boundary = 0.5 * (means[order[k_rem - 1]] + means[order[k_rem]])
@@ -90,12 +89,13 @@ def cb_accept_reject_topk(env, K: int, budget: int) -> SelectionResult:
 
         margins = np.abs(means - boundary) - radius
         x = int(u[int(np.argmin(margins))])
-        chunk = int(min(state.counts[x], remaining))
-        state.add(x, chunk, env.pull_batch(x, chunk))
+        chunk = int(min(counts[x], remaining))
+        counts[x] += chunk
+        sums[x] += env.pull_batch(x, chunk)
         remaining -= chunk
 
     accepted = np.concatenate(accepted)
     # Top up the open slots (none once k_rem is 0) by empirical means.
-    order = np.argsort(-(state.sums[u] / state.counts[u]), kind="stable")
+    order = np.argsort(-(sums[u] / counts[u]), kind="stable")
     final = np.concatenate([accepted, u[order[:k_rem]]])
     return run.result(final, 1, accepted, np.concatenate(rejected))

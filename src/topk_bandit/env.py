@@ -21,7 +21,6 @@ __all__ = [
     "EnvironmentView",
     "ComplementEnvironment",
     "PullTrace",
-    "EmpiricalState",
 ]
 
 
@@ -229,36 +228,3 @@ class PullTrace(EnvironmentView):
         sums = self._inner.pull_many(arms, m)
         self.events.append((np.array(arms, dtype=np.intp), int(m), sums.copy()))
         return sums
-
-
-@dataclass
-class EmpiricalState:
-    """Per-arm observation tallies: counts and reward sums.
-
-    The empirical mean of arm i is sums[i] / counts[i], defined only when
-    counts[i] > 0.  For Bernoulli rewards sums[i] <= counts[i] always.
-    """
-
-    counts: np.ndarray
-    sums: np.ndarray
-
-    @classmethod
-    def zeros(cls, n: int) -> "EmpiricalState":
-        return cls(np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.float64))
-
-    def add(self, arm: int, m: int, reward_sum) -> None:
-        self.counts[arm] += m
-        self.sums[arm] += reward_sum
-
-    def add_many(self, arms: np.ndarray, m: int, reward_sums: np.ndarray) -> None:
-        np.add.at(self.counts, arms, m)
-        # Cast first: np.add.at of integer values into float64 tallies takes
-        # a far slower casting path.  That path casts each value the same
-        # way, so the tallies are unchanged.
-        np.add.at(self.sums, arms, np.asarray(reward_sums, dtype=np.float64))
-
-    def means(self) -> np.ndarray:
-        """Empirical means, NaN where an arm has no observations."""
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = self.sums / self.counts
-        return out

@@ -312,8 +312,8 @@ def improved_topk(env, K: int, epsilon: float, delta: float) -> SelectionResult:
         state[U] = _REJECTED
         if k_rem > len(S) / 2.0:
             V = reverse_elim(env, S, k_rem, gamma, phi, d_round)
-            # Tiny sets can overlap; a committed arm must not be discarded.
-            V = np.setdiff1d(V, U)[:k_rem]
+            # Separate samples can put an arm in both; its rejection stands.
+            V = np.setdiff1d(V, U)
             state[V] = _ACCEPTED
             k_rem -= len(V)
         r += 1

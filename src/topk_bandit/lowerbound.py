@@ -126,44 +126,14 @@ def _coin_threshold(m: int, eta: float):
     """Widest symmetric give-up window [m/2 - t, m/2 + t] covering <= 0.9.
 
     Returns (t, logpmf) where t = -1 means even the t = 0 window exceeds the
-    cap and the strategy never answers "unknown".  The window mass grows by
-    at most two probability terms per unit of t, accumulated incrementally
-    with Kahan-compensated summation, so the scan is O(m) overall.
+    cap and the strategy never answers "unknown".  Toss count k enters the
+    window at t = ceil(|k - m/2|) = (|2k - m| + 1) // 2, so the window masses
+    are the running sums of the pmf binned by that entry point.
     """
     logpmf = _binomial_logpmf(m, 0.5 - eta)
-    pmf = np.exp(logpmf)
-    center = 0.5 * m
-
-    total = 0.0
-    comp = 0.0
-
-    def add(x: float) -> None:
-        nonlocal total, comp
-        y = x - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-
-    def bounds(t: int):
-        return math.ceil(center - t), math.floor(center + t)
-
-    lo, hi = bounds(0)
-    for idx in range(max(lo, 0), min(hi, m) + 1):
-        add(float(pmf[idx]))
-    if total > GIVE_UP_RATE_CAP:
-        return -1, logpmf
-    t = 0
-    while t + 1 <= m:
-        new_lo, new_hi = bounds(t + 1)
-        for idx in range(max(new_lo, 0), lo):
-            add(float(pmf[idx]))
-        for idx in range(hi + 1, min(new_hi, m) + 1):
-            add(float(pmf[idx]))
-        if total > GIVE_UP_RATE_CAP:
-            break
-        t += 1
-        lo, hi = max(new_lo, 0), min(new_hi, m)
-    return t, logpmf
+    k = np.arange(m + 1)
+    mass = np.cumsum(np.bincount((np.abs(2 * k - m) + 1) // 2, weights=np.exp(logpmf)))
+    return int(np.searchsorted(mass, GIVE_UP_RATE_CAP, side="right")) - 1, logpmf
 
 
 def optimal_coin_log_error(m: int, eta: float) -> float:
@@ -213,7 +183,7 @@ class _CapWatchdog(EnvironmentView):
 
 
 def reduction_run(algorithm, n: int, K: int, eta: float, epsilon: float, C: int,
-                  seed: int, c_k: float = DEFAULT_C_K) -> str:
+                  seed: int) -> str:
     """Answer the coin question by running a top-K selection on a hard bandit.
 
     The selection algorithm (a callable ``algorithm(env, K, epsilon, delta)``
@@ -229,8 +199,8 @@ def reduction_run(algorithm, n: int, K: int, eta: float, epsilon: float, C: int,
     """
     if K * 2 != n:
         raise ValueError("the hard construction requires K = n / 2")
-    if epsilon * K < c_k:
-        raise ValueError(f"need epsilon * K >= {c_k} (got {epsilon * K})")
+    if epsilon * K < DEFAULT_C_K:
+        raise ValueError(f"need epsilon * K >= {DEFAULT_C_K} (got {epsilon * K})")
     if C < 0:
         raise ValueError("pull cap C must be non-negative")
     hard = make_hard_instance(n, eta, seed)

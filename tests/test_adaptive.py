@@ -111,7 +111,8 @@ class TestFixedBudget:
     def test_budget_below_n_degrades_to_single_pulls(self):
         env = make_env([0.9, 0.8, 0.1, 0.1, 0.1], K=2)
         res = adaptive_topk_fixed_budget(env, 2, 3)
-        assert res.total_pulls == 3
+        assert res.total_pulls == 3 and res.rounds_completed == 0
+        assert env.pull_counts.tolist() == [1, 1, 1, 0, 0]  # the first `budget` arms
         assert len(res.selected) == 2
 
     def test_budget_exactly_n_pulls_each_arm_once(self):
@@ -144,6 +145,14 @@ class TestFixedBudget:
             res = adaptive_topk_fixed_budget(env, 3, 500)
             sel.add(frozenset(res.selected))
         assert len(sel) == 1
+
+    def test_results_compare_by_value(self):
+        def run(budget):
+            return adaptive_topk_fixed_budget(make_env(gen_two_group(10, 3), seed=5, K=3), 3, budget)
+
+        a, b, c = run(500), run(500), run(501)
+        assert a == b and not a != b
+        assert c.total_pulls == a.total_pulls + 1 and c != a
 
     def test_budget_sweep_monotone_within_noise(self):
         means = gen_two_group(50, 10)

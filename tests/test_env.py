@@ -3,7 +3,7 @@ import pytest
 from scipy import stats
 
 from topk_bandit.env import (
-    ArmEnvironment, ComplementEnvironment, EmpiricalState, Instance, PullTrace,
+    ArmEnvironment, ComplementEnvironment, Instance, PullTrace,
 )
 from topk_bandit.lowerbound import _CapWatchdog
 
@@ -208,15 +208,3 @@ def test_spawn_rng_is_deterministic_and_fresh():
     first, second = a.spawn_rng(), a.spawn_rng()
     assert first.integers(1 << 62) != second.integers(1 << 62)
 
-
-class TestEmpiricalState:
-    def test_means_and_bernoulli_bound(self):
-        st = EmpiricalState.zeros(4)
-        st.add(0, 10, 7)
-        st.add_many(np.array([1, 2]), 4, np.array([4, 0]))
-        means = st.means()
-        assert means[0] == pytest.approx(0.7)
-        assert means[1] == 1.0
-        assert means[2] == 0.0
-        assert np.isnan(means[3])  # no observations
-        assert np.all(st.sums <= st.counts)

@@ -2,9 +2,12 @@
 against the per-element loop or the float form it replaced.
 
 The reference functions below are the earlier implementations, kept
-verbatim apart from names and docstrings; they live here and nowhere in the
-package.  Every comparison is exact: the fast paths do the same float
-operations, so they must agree bit for bit, not within a tolerance.
+verbatim apart from names and docstrings (and local arrays in place of the
+package's former tally class); they live here and nowhere in the package.
+Every comparison is exact: the fast paths do the same float operations, so
+they must agree bit for bit, not within a tolerance.  The one exception is
+the coin threshold search, which sums in another order than its scan; it
+must still give the same integer threshold.
 """
 
 import math
@@ -13,10 +16,11 @@ import numpy as np
 import pytest
 
 from topk_bandit.adaptive import (
-    SelectionResult, SelectionRun, _commit_sweep, _order_by_sums, _SortedPool,
+    SelectionResult, SelectionRun, _commit_sweep, _order_by_sums, _round_loop, _SortedPool,
+    adaptive_topk_fixed_budget,
 )
 from topk_bandit.baselines import _CB_C, _check_budget, cb_accept_reject_topk
-from topk_bandit.env import ArmEnvironment, EmpiricalState, Instance
+from topk_bandit.env import ArmEnvironment, Instance
 from topk_bandit.hardness import (
     HardnessReport, _require_k, _require_sorted, gaps, hardness, psi_quantities, t_of,
 )
@@ -24,17 +28,13 @@ from topk_bandit.improved import (
     _clamp, _halving, _halving_rounds, _round_half_up, eps_split,
 )
 from topk_bandit.instances import gen_two_group
+from topk_bandit.lowerbound import GIVE_UP_RATE_CAP, _binomial_logpmf, _coin_threshold
 
 
 # --- references: the loop implementations -----------------------------------
 
 def ref_order_by_sums(sums: np.ndarray, m: int) -> np.ndarray:
     return np.argsort(-(sums / m), kind="stable")
-
-
-def ref_add_many(state, arms: np.ndarray, m: int, reward_sums: np.ndarray) -> None:
-    np.add.at(state.counts, arms, m)
-    np.add.at(state.sums, arms, reward_sums)
 
 
 def ref_commit_sweep(pool, k_rem: int, threshold: float, accepted: list, rejected: list) -> int:
@@ -63,9 +63,11 @@ def ref_cb_accept_reject_topk(env, K: int, budget: int) -> SelectionResult:
         return run.result(range(K), 1)
 
     n = env.n
-    state = EmpiricalState.zeros(n)
+    counts = np.zeros(n, dtype=np.int64)
+    sums = np.zeros(n, dtype=np.float64)
     arms = np.arange(n)
-    state.add_many(arms, 1, env.pull_many(arms, 1))
+    np.add.at(counts, arms, 1)
+    np.add.at(sums, arms, env.pull_many(arms, 1))
     remaining = budget - n
 
     accepted: set = set()
@@ -77,9 +79,9 @@ def ref_cb_accept_reject_topk(env, K: int, budget: int) -> SelectionResult:
         if k_rem == 0 or len(undecided) <= k_rem:
             break
         u = np.asarray(undecided)
-        means = state.sums[u] / state.counts[u]
+        means = sums[u] / counts[u]
         T = max(env.total_pulls(), 2)
-        radius = np.sqrt(np.log(_CB_C * n * T * T) / (2.0 * state.counts[u]))
+        radius = np.sqrt(np.log(_CB_C * n * T * T) / (2.0 * counts[u]))
 
         order = np.argsort(-means, kind="stable")
         boundary = 0.5 * (means[order[k_rem - 1]] + means[order[k_rem]])
@@ -100,19 +102,103 @@ def ref_cb_accept_reject_topk(env, K: int, budget: int) -> SelectionResult:
 
         margins = np.abs(means - boundary) - radius
         x = int(u[int(np.argmin(margins))])
-        chunk = int(min(state.counts[x], remaining))
-        state.add(x, chunk, env.pull_batch(x, chunk))
+        chunk = int(min(counts[x], remaining))
+        counts[x] += chunk
+        sums[x] += env.pull_batch(x, chunk)
         remaining -= chunk
 
     k_rem = K - len(accepted)
     if k_rem > 0:
         u = np.asarray(undecided)
-        means = state.sums[u] / state.counts[u]
+        means = sums[u] / counts[u]
         order = np.argsort(-means, kind="stable")
         final = set(accepted) | set(int(u[i]) for i in order[:k_rem])
     else:
         final = set(accepted)
     return run.result(sorted(final), 1, sorted(accepted), sorted(rejected))
+
+
+def ref_adaptive_topk_fixed_budget(env, K: int, budget: int, delta: float = 0.01,
+                                   tuned: bool = False) -> SelectionResult:
+    run = SelectionRun(env, K)
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+    if not 0 < delta < 1:
+        raise ValueError("delta must lie in (0, 1)")
+    if run.trivial():
+        return run.result(range(K), 0)
+
+    n = env.n
+    counts = np.zeros(n, dtype=np.int64)
+    sums = np.zeros(n, dtype=np.float64)
+
+    def add_many(arms, m, reward_sums):
+        np.add.at(counts, arms, m)
+        np.add.at(sums, arms, reward_sums)
+
+    def means():
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return sums / counts
+
+    if budget < n:
+        # Documented degradation: not even one sweep fits.
+        head = np.arange(budget)
+        add_many(head, 1, env.pull_many(head, 1))
+        order = np.argsort(-np.nan_to_num(means(), nan=-1.0), kind="stable")
+        return run.result(order[:K], 0)
+
+    # The tally counts every pull of the run, so budget - its count is what
+    # is left.
+    accepted, rejected, survivors, k_rem, r = _round_loop(
+        env, K, delta, tuned,
+        lambda r, k_rem, cost: cost <= budget - counts.sum(), add_many)
+    if k_rem >= 1 and len(survivors) > k_rem:
+        # The budget ran out first: spread the rest over the survivors and
+        # rank them by means pooled over every pull of the run.
+        q, extra = divmod(budget - int(counts.sum()), len(survivors))
+        if q:
+            add_many(survivors, q, env.pull_many(survivors, q))
+        if extra:
+            add_many(survivors[:extra], 1, env.pull_many(survivors[:extra], 1))
+        survivors = survivors[np.argsort(-means()[survivors], kind="stable")]
+    return run.result(np.concatenate([accepted, survivors[:k_rem]]), r, accepted, rejected)
+
+
+def ref_coin_threshold(m: int, eta: float):
+    logpmf = _binomial_logpmf(m, 0.5 - eta)
+    pmf = np.exp(logpmf)
+    center = 0.5 * m
+
+    total = 0.0
+    comp = 0.0
+
+    def add(x: float) -> None:
+        nonlocal total, comp
+        y = x - comp
+        s = total + y
+        comp = (s - total) - y
+        total = s
+
+    def bounds(t: int):
+        return math.ceil(center - t), math.floor(center + t)
+
+    lo, hi = bounds(0)
+    for idx in range(max(lo, 0), min(hi, m) + 1):
+        add(float(pmf[idx]))
+    if total > GIVE_UP_RATE_CAP:
+        return -1, logpmf
+    t = 0
+    while t + 1 <= m:
+        new_lo, new_hi = bounds(t + 1)
+        for idx in range(max(new_lo, 0), lo):
+            add(float(pmf[idx]))
+        for idx in range(hi + 1, min(new_hi, m) + 1):
+            add(float(pmf[idx]))
+        if total > GIVE_UP_RATE_CAP:
+            break
+        t += 1
+        lo, hi = max(new_lo, 0), min(new_hi, m)
+    return t, logpmf
 
 
 def ref_halving(env, arms: np.ndarray, k_target: int, tau: float, phi: float, delta: float):
@@ -205,7 +291,7 @@ def _flat(chunks) -> list:
     return [int(i) for chunk in chunks for i in chunk]
 
 
-# --- _order_by_sums and EmpiricalState.add_many ----------------------------
+# --- _order_by_sums ---------------------------------------------------------
 
 ORDER_MS = [1, 2, 77, 65535, 65536, 10**6]  # the last two take the float sort
 
@@ -240,21 +326,6 @@ def test_order_by_sums_matches_float_sort(m):
         fast = _order_by_sums(sums, m)
         assert np.array_equal(fast, ref_order_by_sums(sums, m)), (m, sums.dtype, sums[:10])
     assert len(_order_by_sums(np.zeros(0, dtype=np.int64), m)) == 0
-
-
-def test_add_many_matches_mixed_dtype_reference():
-    rng = np.random.default_rng(16)
-    for _ in range(300):
-        n = int(rng.integers(1, 50))
-        fast, slow = EmpiricalState.zeros(n), EmpiricalState.zeros(n)
-        for _ in range(int(rng.integers(1, 5))):
-            arms = rng.integers(0, n, int(rng.integers(1, 3 * n)))    # duplicate arms
-            m = int(rng.choice([1, 7, 10**6, 2**53 + 1]))
-            reward_sums = rng.integers(0, m, len(arms), endpoint=True)
-            fast.add_many(arms, m, reward_sums)
-            ref_add_many(slow, arms, m, reward_sums)
-        assert fast.counts.dtype == slow.counts.dtype and np.array_equal(fast.counts, slow.counts)
-        assert fast.sums.dtype == slow.sums.dtype and np.array_equal(fast.sums, slow.sums)
 
 
 # --- _commit_sweep ----------------------------------------------------------
@@ -334,6 +405,35 @@ def test_cb_accept_reject_matches_loop(means, K, budget, seed):
     assert np.array_equal(fast.per_arm_pulls, slow.per_arm_pulls)
     assert (fast.total_pulls, fast.rounds_completed) == (slow.total_pulls, slow.rounds_completed)
     assert all(ids.dtype == np.intp for ids in (fast.selected, fast.accepted_early, fast.rejected))
+
+
+# --- adaptive_topk_fixed_budget --------------------------------------------
+
+def test_fixed_budget_matches_tally_reference():
+    rng = np.random.default_rng(17)
+    below_n = spread = tuned_runs = 0
+    for seed in range(400):
+        n = int(rng.integers(2, 60))
+        means = np.round(rng.random(n), int(rng.integers(0, 3)))  # ties at 0-2 decimals
+        K = int(rng.integers(1, n))
+        kind = rng.random()
+        if kind < 0.2:
+            budget = int(rng.integers(1, n))                          # below n
+        elif kind < 0.3:
+            budget = n * int(rng.integers(1, 4))                      # whole sweeps
+        else:
+            budget = int(rng.integers(n, 400 * n))                    # leaves a remainder
+        delta = float(rng.choice([0.01, 0.1, 0.5]))
+        tuned = bool(rng.random() < 0.5)
+        fast_env, slow_env = _env(means, K, seed), _env(means, K, seed)
+        fast = adaptive_topk_fixed_budget(fast_env, K, budget, delta=delta, tuned=tuned)
+        slow = ref_adaptive_topk_fixed_budget(slow_env, K, budget, delta=delta, tuned=tuned)
+        assert fast == slow, (seed, n, K, budget, tuned)
+        _same_env_state(fast_env, slow_env)
+        below_n += budget < n
+        spread += fast.total_pulls == budget and fast.rounds_completed >= 1
+        tuned_runs += tuned
+    assert below_n > 50 and spread > 50 and 100 < tuned_runs < 300
 
 
 # --- _halving and eps_split -------------------------------------------------
@@ -428,3 +528,26 @@ def test_t_of_zero_tolerance_matches_loop():
     means = np.sort(np.random.default_rng(15).integers(0, 3, 50) / 2.0)[::-1]
     for K in range(1, 50):
         assert t_of(means, K, 0.0) == ref_t_of(means, K, 0.0)
+
+
+# --- _coin_threshold --------------------------------------------------------
+
+def _coin_cases():
+    for m in range(1, 400):
+        for eta in (0.001, 0.01, 0.1, 0.2, 0.45):
+            yield m, eta
+    for m in (10**4, 10**5):
+        yield m, 0.1
+    rng = np.random.default_rng(18)
+    for _ in range(300):
+        yield int(rng.integers(1, 5_000)), float(rng.uniform(1e-4, 0.4999))
+
+
+def test_coin_threshold_matches_scan():
+    # A window mass within rounding of the cap could tip t either way; no case
+    # here lies there.  test_threshold_is_maximal checks t with math.fsum.
+    for m, eta in _coin_cases():
+        t, logpmf = _coin_threshold(m, eta)
+        ref_t, ref_logpmf = ref_coin_threshold(m, eta)
+        assert t == ref_t, (m, eta)
+        assert np.array_equal(logpmf, ref_logpmf)

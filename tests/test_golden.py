@@ -103,7 +103,6 @@ CASES = {
     "optmai": lambda: (lambda env: [sorted(opt_mai(env, range(N), K, 0.2, DELTA).tolist()),
                                     env.pull_counts.tolist()])(_env(7)),
     # Paths that only some inputs reach.
-    "adaptive-tuned": lambda: _parts(adaptive_topk(_env(8), K, EPS, DELTA, tuned=True)),
     "improved-complement": lambda: _parts(improved_topk(_env(9, k=30), 30, 0.2, DELTA)),
     "fixed-budget-below-n": lambda: _parts(adaptive_topk_fixed_budget(_env(10), K, N - 7, delta=DELTA)),
     "fixed-budget-remainder": lambda: _parts(adaptive_topk_fixed_budget(_env(11), K, 5_003, delta=DELTA)),
@@ -129,7 +128,6 @@ EXPECTED = {
     "adaptive": "bd76b632490564ad4cd9b353cc23f57de37dbca52e06325038583cdacb017dfd",
     "adaptive-fb": "74d1c5ec4ec68b82becaf862920780787d77019c4cfa5d7367b959ec6cdc5732",
     "adaptive-fb-tuned": "4e9aefdbda6ab13bd35b3b631c6ab1d69b8ebb77499566b02d3d14d4e94e34bf",
-    "adaptive-tuned": "7524dc663561def225e17d6205d0c6398409eb7d83552ee0029b2248dfab9c97",
     "cb-ar": "25281a892bdded93bcf2dd8e6f4d5c723dea8e015a630b5c23a2d0f7351fc959",
     "cli-run": "606219e58f3bff5ab4fdcde88af093da82358eb2630285914040c28b30fb0088",
     "criterion-12-csv": "36e035d2f359eea4e3caab5a01cdd84cfd8f7c59fe2a7268dd5fba119fb7f7ce",
