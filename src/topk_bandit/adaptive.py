@@ -113,7 +113,9 @@ def _order_by_sums(sums: np.ndarray, m: int) -> np.ndarray:
     """Stable order of the means ``sums / m``, largest first: exactly
     ``np.argsort(-(sums / m), kind="stable")`` (ties: lower position first).
 
-    Every arm had the same m pulls, so for integer sums in [0, m] the mean is
+    The one ranking of arms that share a pull count: the adaptive rounds,
+    ``uniform_topk`` and the ``improved`` subroutines all use it.  Every arm
+    had the same m pulls, so for integer sums in [0, m] the mean is
     strictly increasing in the sum (m < 2^53), and the order is the stable
     ascending order of the integer key m - sums.  Below 2^16 that key fits in
     uint16, which numpy sorts stably by radix sort, in linear time.  Any other
@@ -125,62 +127,31 @@ def _order_by_sums(sums: np.ndarray, m: int) -> np.ndarray:
     return np.argsort(-(sums / m), kind="stable")
 
 
-class _SortedPool:
-    """Undecided arms kept sorted by the current round's empirical means
-    ``sums / m``.
+def _commit_sweep(vals: np.ndarray, k_rem: int, threshold: float) -> tuple[int, int]:
+    """Count the arms one round's boundary sweep commits: (n_acc, n_rej).
 
-    The commit sweep only ever removes an extreme element (the boundary-gap
-    maximizer is always at an end of the sorted order), so the pool is a
-    shrinking window [lo, hi] over one stable descending sort per round.
-    """
-
-    def __init__(self, arm_ids: np.ndarray, sums: np.ndarray, m: int):
-        order = _order_by_sums(sums, m)
-        self.ids = arm_ids[order]
-        self.vals = sums[order] / m
-        self.lo = 0
-        self.hi = len(arm_ids) - 1
-
-    def size(self) -> int:
-        return self.hi - self.lo + 1
-
-    def surviving(self) -> np.ndarray:
-        return self.ids[self.lo : self.hi + 1]
-
-
-def _commit_sweep(pool: _SortedPool, k_rem: int, threshold: float, accepted: list, rejected: list) -> int:
-    """Commit arms at the selection boundary; returns the updated k_rem.
-
-    The sweep commits, one at a time, the arm maximizing
-    max(mean_i - a, b - mean_i), a and b being the (k_rem + 1)-th and k_rem-th
-    largest means, while that maximum exceeds ``threshold`` (ties accept).
-    An accept moves ``lo`` and ``k_rem`` together and a reject moves only
-    ``hi``, so p = lo + k_rem, a = vals[p] and b = vals[p - 1] stay fixed: the
-    sweep merges the non-increasing gaps vals[i] - a (i in [lo, p)) and
-    b - vals[j] (j from hi down to p), which both end at b - a.  Hence, by
-    binary search on those exact float expressions, it accepts
-    #{i : vals[i] - a > threshold} arms; if that leaves slots open it rejects
+    ``vals`` are the undecided arms' means, largest first.  The sweep
+    commits, one at a time, the arm maximizing max(mean_i - a, b - mean_i),
+    a and b being the (k_rem + 1)-th and k_rem-th largest means, while that
+    maximum exceeds ``threshold`` (ties accept).  That arm is always at an
+    end of the sorted order: an accept takes the top arm and a slot, a
+    reject the bottom arm, so a = vals[k_rem] and b = vals[k_rem - 1] stay
+    fixed and the sweep merges the non-increasing gaps vals[i] - a
+    (i < k_rem) and b - vals[j] (j from the end down to k_rem), which both
+    end at b - a.  Hence, by binary search on those exact float
+    expressions, it accepts the first #{i : vals[i] - a > threshold} arms;
+    if that leaves slots open it rejects the last
     #{j : b - vals[j] > threshold}, and if it fills them it stops at its
-    last accept and rejects #{j : b - vals[j] > b - a}.
-
-    Appends the accepted ids (best first) and the rejected ids (worst first)
-    as one array each.
+    last accept and rejects the last #{j : b - vals[j] > b - a}.
     """
-    lo, hi = pool.lo, pool.hi
-    p = lo + k_rem
-    if k_rem < 1 or hi < p:
-        return k_rem
-    vals = pool.vals
-    a, b = vals[p], vals[p - 1]
-    n_acc = bisect_left(range(lo, p), True, key=lambda i: vals[i] - a <= threshold)
+    size = len(vals)
+    if k_rem < 1 or size <= k_rem:
+        return 0, 0
+    a, b = vals[k_rem], vals[k_rem - 1]
+    n_acc = bisect_left(range(k_rem), True, key=lambda i: vals[i] - a <= threshold)
     limit = threshold if n_acc < k_rem else b - a
-    n_rej = hi + 1 - p - bisect_left(range(p, hi + 1), True, key=lambda j: b - vals[j] > limit)
-    # Copies: a view would keep the round's whole pool alive.
-    accepted.append(pool.ids[lo : lo + n_acc].copy())
-    rejected.append(pool.ids[hi - n_rej + 1 : hi + 1][::-1].copy())
-    pool.lo = lo + n_acc
-    pool.hi = hi - n_rej
-    return k_rem - n_acc
+    n_rej = size - k_rem - bisect_left(range(k_rem, size), True, key=lambda j: b - vals[j] > limit)
+    return n_acc, n_rej
 
 
 def _round_loop(env, K: int, delta: float, tuned: bool, more, observe=None):
@@ -210,11 +181,17 @@ def _round_loop(env, K: int, delta: float, tuned: bool, more, observe=None):
         sums = env.pull_many(survivors, m)
         if observe is not None:
             observe(survivors, m, sums)
-        pool = _SortedPool(survivors, sums, m)
+        order = _order_by_sums(sums, m)
+        ranked = survivors[order]
         threshold = scale / 3.0 if tuned else 2.0 * scale
-        k_rem = _commit_sweep(pool, k_rem, threshold, accepted, rejected)
-        survivors = pool.surviving()
-        assert pool.size() + sum(map(len, accepted)) + sum(map(len, rejected)) == n
+        n_acc, n_rej = _commit_sweep(sums[order] / m, k_rem, threshold)
+        end = len(ranked) - n_rej
+        # Copies: a view would keep the round's whole ranking alive.
+        accepted.append(ranked[:n_acc].copy())  # best first
+        rejected.append(ranked[end:][::-1].copy())  # worst first
+        survivors = ranked[n_acc:end]
+        k_rem -= n_acc
+        assert len(survivors) + sum(map(len, accepted)) + sum(map(len, rejected)) == n
     return np.concatenate(accepted), np.concatenate(rejected), survivors, k_rem, r
 
 

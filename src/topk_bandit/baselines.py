@@ -67,7 +67,7 @@ def cb_accept_reject_topk(env, K: int, budget: int) -> SelectionResult:
 
     while remaining > 0 and k_rem and len(u) > k_rem:
         means = sums[u] / counts[u]
-        T = max(env.total_pulls(), 2)
+        T = max(run.spent(), 2)  # this run's pulls, not the environment's lifetime
         radius = np.sqrt(np.log(_CB_C * n * T * T) / (2.0 * counts[u]))
 
         order = np.argsort(-means, kind="stable")

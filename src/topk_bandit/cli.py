@@ -64,12 +64,12 @@ def _default_seed() -> int:
     return 0
 
 
-def _add_instance_flags(p, need_k=True):
-    p.add_argument("--instance", required=True,
+def _add_instance_flags(p, required=True):
+    # ``experiment`` may take --instance and --k from its config file instead.
+    p.add_argument("--instance", required=required,
                    help="two-group | uniform | synthetic | path to a mean file")
     p.add_argument("--n", type=int, default=1000, help="number of arms for generators")
-    if need_k:
-        p.add_argument("--k", type=int, required=True, help="number of arms to select")
+    p.add_argument("--k", type=int, required=required, help="number of arms to select")
     p.add_argument("--p", type=float, default=1.0, help="shape exponent for synthetic")
 
 
@@ -116,7 +116,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("experiment", help="budget-grid experiment to CSV")
     p.add_argument("--config", default=None, help="flat key=value config file")
-    _add_instance_flags(p)
+    _add_instance_flags(p, required=False)
     p.add_argument("--epsilon", type=float, default=0.01)
     p.add_argument("--delta", type=float, default=0.01)
     p.add_argument("--budgets", default="auto",
@@ -210,6 +210,10 @@ def _cmd_experiment(args, argv) -> int:
                     args.algo = [a.strip() for a in val.split(",")]
             elif f"--{key}" not in present:
                 setattr(args, key, val)
+    for key in ("instance", "k"):
+        if getattr(args, key) is None:
+            print(f"error: --{key} is required (or the config-file key {key!r})", file=sys.stderr)
+            return EXIT_USAGE
     seed = args.seed if args.seed is not None else _default_seed()
     algos = tuple(args.algo) if args.algo else ("adaptive-fb",)
     means = _selection_means(args)

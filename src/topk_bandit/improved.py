@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .adaptive import SelectionResult, SelectionRun, _sorted_ids
+from .adaptive import SelectionResult, SelectionRun, _order_by_sums, _sorted_ids
 from .env import ComplementEnvironment, _arm_ids
 
 __all__ = [
@@ -88,10 +88,11 @@ def _halving(env, arms: np.ndarray, k_target: int, tau: float, phi: float, delta
     kept = np.arange(len(arms))
     last_seen = np.empty(len(arms))
     for size, m in _halving_rounds(len(arms), k_target, tau, phi, delta):
-        means = env.pull_many(arms[kept], m) / m
+        sums = env.pull_many(arms[kept], m)
+        means = sums / m
         last_seen[kept] = means
         if size > k_target:
-            keep = np.argsort(-means, kind="stable")[: max(k_target, math.ceil(size / 2))]
+            keep = _order_by_sums(sums, m)[: max(k_target, math.ceil(size / 2))]
             kept, means = kept[keep], means[keep]
     return kept, means, last_seen
 
@@ -113,9 +114,8 @@ def est_kth_arm(env, S, K: int, tau: float, phi: float, delta: float, rng=None):
         if not 0.0 < v < 1.0:
             raise ValueError(f"{name} must lie in (0, 1)")
     kept, means, _ = _halving(env, arms, K, tau, phi, delta)
-    order = np.argsort(-means, kind="stable")
     cut = _clamp(_round_half_down((1.0 - tau / 2.0) * K), 1, len(kept))
-    cut_val = means[order[cut - 1]]
+    cut_val = np.sort(means)[len(means) - cut]  # the cut-th largest mean
     candidates = np.flatnonzero(means <= cut_val)
     rng = rng if rng is not None else env.spawn_rng()
     pick = int(candidates[rng.integers(len(candidates))])
@@ -168,13 +168,11 @@ def _elim_core(env, S, gamma: float, phi: float, delta: float, reverse: bool) ->
         if not 0.0 < v < 1.0:
             raise ValueError(f"{pname} must lie in (0, 1)")
     m = _elim_pulls(phi, gamma, delta)
-    means = env.pull_many(arms, m) / m
-    t_size = math.ceil(len(arms) / 10)
-    if reverse:
-        order = np.argsort(-means, kind="stable")
-    else:
-        order = np.argsort(means, kind="stable")
-    return _sorted_ids(arms[order[:t_size]])
+    sums = env.pull_many(arms, m)
+    # The complement sums m - sums rank the smallest means first, ties to
+    # the lower id, as an ascending stable sort of the means does.
+    order = _order_by_sums(sums if reverse else m - sums, m)
+    return _sorted_ids(arms[order[: math.ceil(len(arms) / 10)]])
 
 
 def elim(env, S, K: int, gamma: float, phi: float, delta: float) -> np.ndarray:
@@ -222,8 +220,7 @@ def opt_mai(env, S, K: int, epsilon: float, delta: float) -> np.ndarray:
     if K in (0, len(arms)) or epsilon >= 1.0:
         return _sorted_ids(arms[:K])
     m = _opt_mai_pulls(len(arms), epsilon, delta)
-    means = env.pull_many(arms, m) / m
-    order = np.argsort(-means, kind="stable")
+    order = _order_by_sums(env.pull_many(arms, m), m)
     return _sorted_ids(arms[order[:K]])
 
 

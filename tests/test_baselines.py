@@ -77,3 +77,14 @@ class TestConfidenceBoundAcceptReject:
         res = cb_accept_reject_topk(env, 5, 50_000)
         assert np.isin(res.accepted_early, res.selected).all()
         assert not np.isin(res.rejected, res.selected).any()
+
+    def test_earlier_pulls_of_the_environment_change_nothing(self):
+        # The confidence radius counts this run's pulls only; presetting the
+        # counters leaves the reward stream as it is.
+        for seed in range(10):
+            fresh, used = (make_env(gen_two_group(200, 20), seed=seed, K=20) for _ in range(2))
+            used.pull_counts[:] = 5_000
+            a = cb_accept_reject_topk(fresh, 20, 200_000)
+            b = cb_accept_reject_topk(used, 20, 200_000)
+            assert a.selected.tolist() == b.selected.tolist(), seed
+            assert np.array_equal(a.per_arm_pulls, b.per_arm_pulls), seed

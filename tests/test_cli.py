@@ -136,6 +136,26 @@ def test_config_file_precedence(capsys, tmp_path, flags, code, algos, trials):
         assert {r["trials"] for r in rows} == {trials}
 
 
+def test_config_file_alone_supplies_instance_and_k(capsys, tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("instance = two-group\nn = 12\nk = 3\nbudgets = 60\ntrials = 2\n"
+                   "algos = uniform\n")
+    code, out, _ = run_cli(capsys, "experiment", "--config", str(cfg))
+    assert code == EXIT_OK
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [(r["algorithm"], r["budget"], r["trials"]) for r in rows] == [("uniform", "60", "2")]
+
+
+@pytest.mark.parametrize("key, other", [("instance", "k = 3"), ("k", "instance = two-group")])
+def test_value_missing_from_flags_and_file_is_usage_error(capsys, tmp_path, key, other):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"n = 12\n{other}\nbudgets = 60\ntrials = 2\n")
+    code, out, err = run_cli(capsys, "experiment", "--config", str(cfg))
+    assert code == EXIT_USAGE
+    assert f"--{key}" in err and f"'{key}'" in err
+    assert out == ""
+
+
 def test_seed_env_fallback(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("TOPK_BANDIT_SEED", "777")
     code, out, _ = run_cli(capsys, "run", "--instance", "two-group", "--n", "10",

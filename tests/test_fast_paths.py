@@ -2,8 +2,10 @@
 against the per-element loop or the float form it replaced.
 
 The reference functions below are the earlier implementations, kept
-verbatim apart from names and docstrings (and local arrays in place of the
-package's former tally class); they live here and nowhere in the package.
+verbatim apart from names and docstrings (local arrays in place of the
+package's former tally class, the local ``_Pool`` in place of its former
+sorted pool, and ``ref_halving`` under ``ref_est_kth_arm``); they live here
+and nowhere in the package.
 Every comparison is exact: the fast paths do the same float operations, so
 they must agree bit for bit, not within a tolerance.  The one exception is
 the coin threshold search, which sums in another order than its scan; it
@@ -16,16 +18,17 @@ import numpy as np
 import pytest
 
 from topk_bandit.adaptive import (
-    SelectionResult, SelectionRun, _commit_sweep, _order_by_sums, _round_loop, _SortedPool,
-    adaptive_topk_fixed_budget,
+    SelectionResult, SelectionRun, _commit_sweep, _order_by_sums, _round_loop, _round_pulls,
+    _schedule, _sorted_ids, adaptive_topk_fixed_budget,
 )
 from topk_bandit.baselines import _CB_C, _check_budget, cb_accept_reject_topk
-from topk_bandit.env import ArmEnvironment, Instance
+from topk_bandit.env import ArmEnvironment, Instance, _arm_ids
 from topk_bandit.hardness import (
     HardnessReport, _require_k, _require_sorted, gaps, hardness, psi_quantities, t_of,
 )
 from topk_bandit.improved import (
-    _clamp, _halving, _halving_rounds, _round_half_up, eps_split,
+    _clamp, _elim_pulls, _halving, _halving_rounds, _opt_mai_pulls, _round_half_down,
+    _round_half_up, elim, eps_split, est_kth_arm, opt_mai, reverse_elim,
 )
 from topk_bandit.instances import gen_two_group
 from topk_bandit.lowerbound import GIVE_UP_RATE_CAP, _binomial_logpmf, _coin_threshold
@@ -35,6 +38,21 @@ from topk_bandit.lowerbound import GIVE_UP_RATE_CAP, _binomial_logpmf, _coin_thr
 
 def ref_order_by_sums(sums: np.ndarray, m: int) -> np.ndarray:
     return np.argsort(-(sums / m), kind="stable")
+
+
+class _Pool:
+    """Undecided arms sorted by the round's float means ``sums / m``, as a
+    window [lo, hi] that the one-arm-at-a-time sweep shrinks from its ends."""
+
+    def __init__(self, arm_ids: np.ndarray, sums: np.ndarray, m: int):
+        order = ref_order_by_sums(sums, m)
+        self.ids = arm_ids[order]
+        self.vals = sums[order] / m
+        self.lo = 0
+        self.hi = len(arm_ids) - 1
+
+    def size(self) -> int:
+        return self.hi - self.lo + 1
 
 
 def ref_commit_sweep(pool, k_rem: int, threshold: float, accepted: list, rejected: list) -> int:
@@ -54,6 +72,26 @@ def ref_commit_sweep(pool, k_rem: int, threshold: float, accepted: list, rejecte
             rejected.append(int(pool.ids[pool.hi]))
             pool.hi -= 1
     return k_rem
+
+
+def ref_round_loop(env, K: int, delta: float, tuned: bool, more):
+    n = env.n
+    accepted: list = []
+    rejected: list = []
+    survivors = np.arange(n)
+    r = 0
+    k_rem = K
+    while k_rem >= 1 and len(survivors) > k_rem:
+        m = _round_pulls(n, r + 1, delta, tuned)
+        if not more(r, k_rem, m * len(survivors)):
+            break
+        r += 1
+        scale = _schedule(r, tuned)
+        pool = _Pool(survivors, env.pull_many(survivors, m), m)
+        threshold = scale / 3.0 if tuned else 2.0 * scale
+        k_rem = ref_commit_sweep(pool, k_rem, threshold, accepted, rejected)
+        survivors = pool.ids[pool.lo : pool.hi + 1]
+    return accepted, rejected, survivors, k_rem, r
 
 
 def ref_cb_accept_reject_topk(env, K: int, budget: int) -> SelectionResult:
@@ -216,6 +254,54 @@ def ref_halving(env, arms: np.ndarray, k_target: int, tau: float, phi: float, de
     return R, means, last_seen, pulls
 
 
+def ref_est_kth_arm(env, S, K: int, tau: float, phi: float, delta: float, rng=None):
+    arms = _arm_ids(S)
+    if not 1 <= K <= len(arms):
+        raise ValueError(f"need 1 <= K <= |S|; got K={K}, |S|={len(arms)}")
+    for name, v in (("tau", tau), ("phi", phi), ("delta", delta)):
+        if not 0.0 < v < 1.0:
+            raise ValueError(f"{name} must lie in (0, 1)")
+    R, means, _, _ = ref_halving(env, arms, K, tau, phi, delta)
+    order = np.argsort(-means, kind="stable")
+    cut = _clamp(_round_half_down((1.0 - tau / 2.0) * K), 1, len(R))
+    cut_val = means[order[cut - 1]]
+    candidates = np.flatnonzero(means <= cut_val)
+    rng = rng if rng is not None else env.spawn_rng()
+    pick = int(candidates[rng.integers(len(candidates))])
+    return int(R[pick]), float(means[pick])
+
+
+def ref_elim_core(env, S, gamma: float, phi: float, delta: float, reverse: bool) -> np.ndarray:
+    arms = np.sort(_arm_ids(S))
+    if len(arms) == 0:
+        raise ValueError("S must be non-empty")
+    for pname, v in (("gamma", gamma), ("phi", phi), ("delta", delta)):
+        if not 0.0 < v < 1.0:
+            raise ValueError(f"{pname} must lie in (0, 1)")
+    m = _elim_pulls(phi, gamma, delta)
+    means = env.pull_many(arms, m) / m
+    t_size = math.ceil(len(arms) / 10)
+    if reverse:
+        order = np.argsort(-means, kind="stable")
+    else:
+        order = np.argsort(means, kind="stable")
+    return _sorted_ids(arms[order[:t_size]])
+
+
+def ref_opt_mai(env, S, K: int, epsilon: float, delta: float) -> np.ndarray:
+    arms = np.sort(_arm_ids(S))
+    if not 0 <= K <= len(arms):
+        raise ValueError(f"need 0 <= K <= |S|; got K={K}, |S|={len(arms)}")
+    if not 0 < delta < 1:
+        raise ValueError("delta must lie in (0, 1)")
+    if K in (0, len(arms)) or epsilon >= 1.0:
+        return _sorted_ids(arms[:K])
+    m = _opt_mai_pulls(len(arms), epsilon, delta)
+    means = env.pull_many(arms, m) / m
+    order = np.argsort(-means, kind="stable")
+    return _sorted_ids(arms[order[:K]])
+
+
 def ref_eps_split(env, S, K: int, tau: float, phi: float, delta: float) -> set:
     arms = np.asarray(sorted(int(a) for a in S), dtype=np.intp)
     if not 1 <= K <= len(arms):
@@ -287,10 +373,6 @@ def ref_hardness(means: np.ndarray, K: int, epsilon: float) -> HardnessReport:
     return HardnessReport(gap, t, psi_t, psi_eps, h_t, h_0, clamped)
 
 
-def _flat(chunks) -> list:
-    return [int(i) for chunk in chunks for i in chunk]
-
-
 # --- _order_by_sums ---------------------------------------------------------
 
 ORDER_MS = [1, 2, 77, 65535, 65536, 10**6]  # the last two take the float sort
@@ -328,11 +410,10 @@ def test_order_by_sums_matches_float_sort(m):
     assert len(_order_by_sums(np.zeros(0, dtype=np.int64), m)) == 0
 
 
-# --- _commit_sweep ----------------------------------------------------------
+# --- _commit_sweep and _round_loop ----------------------------------------
 
 def _random_pool(rng):
-    # Integer reward sums of m pulls each; the large m take the float sort
-    # in _SortedPool, the rest the integer key.
+    # Integer reward sums of m pulls each, heavily tied in half the pools.
     size = int(rng.integers(1, 40))
     m = int(rng.choice([1, 2, 3, 5, 8, 77, 65535, 10**6]))
     if rng.random() < 0.5:
@@ -347,31 +428,54 @@ def test_commit_sweep_matches_loop_on_random_pools():
     rng = np.random.default_rng(3)
     for _ in range(20_000):
         ids, sums, m = _random_pool(rng)
-        fast, slow = _SortedPool(ids, sums, m), _SortedPool(ids, sums, m)
-        order = ref_order_by_sums(sums, m)  # the pool of float means it replaced
-        assert np.array_equal(fast.ids, ids[order]) and np.array_equal(fast.vals, (sums / m)[order])
+        pool = _Pool(ids, sums, m)
         size = len(ids)
+        lo, hi = 0, size - 1
         if size > 1 and rng.random() < 0.3:
             # A window that earlier commits already narrowed.
             lo = int(rng.integers(0, size))
             hi = int(rng.integers(lo, size))
-            fast.lo = slow.lo = lo
-            fast.hi = slow.hi = hi
-        k_rem = int(rng.integers(0, fast.size() + 1))
-        p = fast.lo + k_rem
+            pool.lo, pool.hi = lo, hi
+        k_rem = int(rng.integers(0, pool.size() + 1))
+        p = lo + k_rem
         choice = rng.random()
         if choice < 0.2:
             threshold = 0.0
-        elif choice < 0.4 and 1 <= k_rem and p <= fast.hi:
-            threshold = float(fast.vals[p - 1] - fast.vals[p])  # exactly b - a
+        elif choice < 0.4 and 1 <= k_rem and p <= hi:
+            threshold = float(pool.vals[p - 1] - pool.vals[p])  # exactly b - a
         else:
             threshold = float(rng.random() * 0.6)
-        acc_fast, rej_fast, acc_slow, rej_slow = [], [], [], []
-        k_fast = _commit_sweep(fast, k_rem, threshold, acc_fast, rej_fast)
-        k_slow = ref_commit_sweep(slow, k_rem, threshold, acc_slow, rej_slow)
-        assert (k_fast, fast.lo, fast.hi) == (k_slow, slow.lo, slow.hi)
-        assert _flat(acc_fast) == acc_slow
-        assert _flat(rej_fast) == rej_slow
+        n_acc, n_rej = _commit_sweep(pool.vals[lo : hi + 1], k_rem, threshold)
+        acc_slow, rej_slow = [], []
+        k_slow = ref_commit_sweep(pool, k_rem, threshold, acc_slow, rej_slow)
+        assert (k_rem - n_acc, lo + n_acc, hi - n_rej) == (k_slow, pool.lo, pool.hi)
+        assert pool.ids[lo : lo + n_acc].tolist() == acc_slow
+        assert pool.ids[hi - n_rej + 1 : hi + 1][::-1].tolist() == rej_slow
+
+
+def test_round_loop_matches_pool_loop():
+    rng = np.random.default_rng(19)
+    committed = float_rounds = 0
+    for seed in range(300):
+        n = int(rng.integers(2, 60))
+        means = np.round(rng.random(n), int(rng.integers(0, 3)))  # ties at 0-2 decimals
+        K = int(rng.integers(1, n))
+        delta = float(rng.choice([0.01, 0.1, 0.5]))
+        tuned = bool(rng.random() < 0.5)
+        rounds = int(rng.integers(1, 10))
+        seen = []
+        fast_env, slow_env = _env(means, K, seed), _env(means, K, seed)
+        fast = _round_loop(fast_env, K, delta, tuned, lambda r, k_rem, cost: r < rounds,
+                           lambda arms, m, sums: seen.append(m))
+        slow = ref_round_loop(slow_env, K, delta, tuned, lambda r, k_rem, cost: r < rounds)
+        accepted, rejected, survivors, k_rem, r = fast
+        assert accepted.tolist() == slow[0] and rejected.tolist() == slow[1]
+        assert survivors.tolist() == slow[2].tolist() and (k_rem, r) == slow[3:]
+        assert all(ids.dtype == np.intp for ids in (accepted, rejected, survivors))
+        _same_env_state(fast_env, slow_env)
+        committed += len(accepted) + len(rejected) > 0
+        float_rounds += sum(m >= 1 << 16 for m in seen)
+    assert committed > 100 and float_rounds > 50
 
 
 # --- cb_accept_reject_topk --------------------------------------------------
@@ -436,13 +540,19 @@ def test_fixed_budget_matches_tally_reference():
     assert below_n > 50 and spread > 50 and 100 < tuned_runs < 300
 
 
-# --- _halving and eps_split -------------------------------------------------
+# --- the improved subroutines ----------------------------------------------
+
+def _log_uniform(rng, lo: float, hi: float) -> float:
+    # Precisions spread evenly in log scale, so the per-arm pull counts fall
+    # on both sides of 2^16, where _order_by_sums switches sorts.
+    return lo * (hi / lo) ** rng.random()
+
 
 def _halving_case(rng):
     n = int(rng.integers(2, 60))
     means = np.round(rng.random(n), int(rng.integers(0, 3)))  # ties at 0-2 decimals
     S = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
-    tau, phi, delta = rng.uniform(0.05, 0.9), rng.uniform(0.3, 0.95), rng.uniform(0.05, 0.9)
+    tau, phi, delta = rng.uniform(0.05, 0.9), _log_uniform(rng, 0.02, 0.95), rng.uniform(0.05, 0.9)
     return means, S, tau, phi, delta
 
 
@@ -453,10 +563,13 @@ def _same_env_state(a, b):
 
 def test_halving_matches_loop():
     rng = np.random.default_rng(11)
+    sorts = {False: 0, True: 0}  # sorting rounds by m >= 2^16
     for seed in range(300):
         means, S, tau, phi, delta = _halving_case(rng)
         arms = np.sort(S)
         k_target = int(rng.integers(1, len(arms) + 1))
+        for size, m in _halving_rounds(len(arms), k_target, tau, phi, delta):
+            sorts[m >= 1 << 16] += size > k_target
         fast_env, slow_env = _env(means, 1, seed), _env(means, 1, seed)
         kept, kept_means, last_seen = _halving(fast_env, arms, k_target, tau, phi, delta)
         R, R_means, seen, ref_pulls = ref_halving(slow_env, arms, k_target, tau, phi, delta)
@@ -465,6 +578,7 @@ def test_halving_matches_loop():
         assert dict(zip(arms.tolist(), last_seen.tolist())) == seen
         assert fast_env.total_pulls() == ref_pulls
         _same_env_state(fast_env, slow_env)
+    assert sorts[False] >= 100 and sorts[True] >= 100
 
 
 def test_eps_split_matches_loop():
@@ -480,6 +594,53 @@ def test_eps_split_matches_loop():
         _same_env_state(fast_env, slow_env)
         topped_up += _round_half_up((1.0 - tau) * K) < K < len(S)
     assert topped_up > 50
+
+
+def test_est_kth_arm_matches_float_sort():
+    rng = np.random.default_rng(13)
+    for seed in range(300):
+        means, S, tau, phi, delta = _halving_case(rng)
+        K = int(rng.integers(1, len(S) + 1))
+        fast_env, slow_env = _env(means, 1, seed), _env(means, 1, seed)
+        fast = est_kth_arm(fast_env, S, K, tau, phi, delta)
+        slow = ref_est_kth_arm(slow_env, S, K, tau, phi, delta)
+        assert fast == slow
+        _same_env_state(fast_env, slow_env)
+        assert fast_env.spawn_rng().random() == slow_env.spawn_rng().random()
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["elim", "reverse_elim"])
+def test_elim_matches_float_sort(reverse):
+    rng = np.random.default_rng(14 + reverse)
+    select = reverse_elim if reverse else elim
+    big_m = 0
+    for seed in range(300):
+        means, S, _, _, delta = _halving_case(rng)
+        gamma = rng.uniform(0.01, 0.9)
+        phi = _log_uniform(rng, 0.0002, 0.5)
+        fast_env, slow_env = _env(means, 1, seed), _env(means, 1, seed)
+        fast = select(fast_env, S, 1, gamma, phi, delta)
+        slow = ref_elim_core(slow_env, S, gamma, phi, delta, reverse)
+        assert fast.tolist() == slow.tolist() and fast.dtype == np.intp
+        _same_env_state(fast_env, slow_env)
+        big_m += _elim_pulls(phi, gamma, delta) >= 1 << 16
+    assert 100 < big_m < 200, big_m
+
+
+def test_opt_mai_matches_float_sort():
+    rng = np.random.default_rng(16)
+    big_m = 0
+    for seed in range(300):
+        means, S, _, _, delta = _halving_case(rng)
+        K = int(rng.integers(0, len(S) + 1))
+        epsilon = _log_uniform(rng, 0.0002, 0.5)
+        fast_env, slow_env = _env(means, 1, seed), _env(means, 1, seed)
+        fast = opt_mai(fast_env, S, K, epsilon, delta)
+        slow = ref_opt_mai(slow_env, S, K, epsilon, delta)
+        assert fast.tolist() == slow.tolist() and fast.dtype == np.intp
+        _same_env_state(fast_env, slow_env)
+        big_m += 0 < K < len(S) and _opt_mai_pulls(len(S), epsilon, delta) >= 1 << 16
+    assert 100 < big_m < 200, big_m
 
 
 # --- hardness and t_of ------------------------------------------------------
