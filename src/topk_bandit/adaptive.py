@@ -114,23 +114,37 @@ def _order_by_sums(sums: np.ndarray, m: int) -> np.ndarray:
     ``np.argsort(-(sums / m), kind="stable")`` (ties: lower position first).
 
     The one ranking of arms that share a pull count: the adaptive rounds,
-    ``uniform_topk`` and the ``improved`` subroutines all use it.  Every arm
-    had the same m pulls, so for integer sums in [0, m] the mean is
-    strictly increasing in the sum (m < 2^53), and the order is the stable
-    ascending order of the integer key m - sums.  Below 2^16 that key fits in
-    uint16, which numpy sorts stably by radix sort, in linear time.  Any other
-    input takes the float sort.
+    the fixed-budget top-up, ``uniform_topk`` and the ``improved``
+    subroutines all use it.  Every arm had the same m pulls, so for integer
+    sums in [0, m] with m < 2^53 the mean is strictly increasing in the sum,
+    and the order is the stable ascending order of the exact integer key
+    ``hi - sums``, hi being the largest sum.  The key is shifted left past
+    the b bits of the position and the position or-ed in: those int64 words
+    are distinct, so any sort of them gives the stable order, and the low b
+    bits read it off.  Keys too wide for that, and any other input, take the
+    float sort.
     """
-    if (m < 1 << 16 and sums.size and sums.dtype.kind in "iu"
-            and sums.min() >= 0 and sums.max() <= m):
-        return np.argsort(np.uint16(m) - sums.astype(np.uint16), kind="stable")
+    if sums.size and sums.dtype.kind in "iu" and m < 1 << 53:
+        lo, hi = sums.min(), sums.max()
+        if 0 <= lo and hi <= m:
+            span = int(hi) - int(lo)
+            b = (sums.size - 1).bit_length()
+            if span.bit_length() + b <= 63:
+                words = (hi - sums).astype(np.int64, copy=False)
+                words <<= b
+                words |= np.arange(sums.size)
+                words.sort()
+                words &= (1 << b) - 1
+                return words
     return np.argsort(-(sums / m), kind="stable")
 
 
-def _commit_sweep(vals: np.ndarray, k_rem: int, threshold: float) -> tuple[int, int]:
+def _commit_sweep(sums: np.ndarray, order: np.ndarray, m: int, k_rem: int,
+                  threshold: float) -> tuple[int, int]:
     """Count the arms one round's boundary sweep commits: (n_acc, n_rej).
 
-    ``vals`` are the undecided arms' means, largest first.  The sweep
+    The undecided arms' means, largest first, are vals[i] = sums[order[i]] / m;
+    the sweep reads them only at the O(log size) positions it probes.  It
     commits, one at a time, the arm maximizing max(mean_i - a, b - mean_i),
     a and b being the (k_rem + 1)-th and k_rem-th largest means, while that
     maximum exceeds ``threshold`` (ties accept).  That arm is always at an
@@ -144,13 +158,17 @@ def _commit_sweep(vals: np.ndarray, k_rem: int, threshold: float) -> tuple[int, 
     #{j : b - vals[j] > threshold}, and if it fills them it stops at its
     last accept and rejects the last #{j : b - vals[j] > b - a}.
     """
-    size = len(vals)
+    size = len(order)
     if k_rem < 1 or size <= k_rem:
         return 0, 0
-    a, b = vals[k_rem], vals[k_rem - 1]
-    n_acc = bisect_left(range(k_rem), True, key=lambda i: vals[i] - a <= threshold)
+
+    def val(i):
+        return sums[order[i]] / m
+
+    a, b = val(k_rem), val(k_rem - 1)
+    n_acc = bisect_left(range(k_rem), True, key=lambda i: val(i) - a <= threshold)
     limit = threshold if n_acc < k_rem else b - a
-    n_rej = size - k_rem - bisect_left(range(k_rem, size), True, key=lambda j: b - vals[j] > limit)
+    n_rej = size - k_rem - bisect_left(range(k_rem, size), True, key=lambda j: b - val(j) > limit)
     return n_acc, n_rej
 
 
@@ -184,7 +202,7 @@ def _round_loop(env, K: int, delta: float, tuned: bool, more, observe=None):
         order = _order_by_sums(sums, m)
         ranked = survivors[order]
         threshold = scale / 3.0 if tuned else 2.0 * scale
-        n_acc, n_rej = _commit_sweep(sums[order] / m, k_rem, threshold)
+        n_acc, n_rej = _commit_sweep(sums, order, m, k_rem, threshold)
         end = len(ranked) - n_rej
         # Copies: a view would keep the round's whole ranking alive.
         accepted.append(ranked[:n_acc].copy())  # best first
@@ -245,7 +263,7 @@ def adaptive_topk_fixed_budget(env, K: int, budget: int, delta: float = 0.01,
         return run.result(range(K), 0)
 
     # Reward sums of every pull of the run; ``run`` counts the pulls.
-    sums = np.zeros(env.n)
+    sums = np.zeros(env.n, dtype=np.int64)
 
     def observe(arms, m, rewards):
         sums[arms] += rewards  # distinct ids: survivors never repeat
@@ -260,8 +278,20 @@ def adaptive_topk_fixed_budget(env, K: int, budget: int, delta: float = 0.01,
             observe(survivors, q, env.pull_many(survivors, q))
         if extra:
             observe(survivors[:extra], 1, env.pull_many(survivors[:extra], 1))
-        # 0/0 is NaN for an arm never pulled, which a stable sort puts last.
-        with np.errstate(invalid="ignore"):
-            means = sums[survivors] / run.pulls()[survivors]
-        survivors = survivors[np.argsort(-means, kind="stable")]
+        # Every survivor was pulled P times, the first ``extra`` once more.
+        pulls = run.pulls()[survivors]
+        P = int(pulls[-1])
+        if P == 0:
+            # Budget < n: the unpulled arms have sum 0 and come after the
+            # pulled ones, so the stable tie-break ranks them last.
+            order = _order_by_sums(sums[survivors], 1)
+        else:
+            # On the common scale L, sums * (L / pulls) ranks as sums / pulls;
+            # L < 2^53 keeps those keys exact.
+            L = P * (P + 1) if extra else P
+            if L < 1 << 53:
+                order = _order_by_sums(sums[survivors] * (L // pulls), L)
+            else:
+                order = _order_by_sums(sums[survivors] / pulls, 1)
+        survivors = survivors[order]
     return run.result(np.concatenate([accepted, survivors[:k_rem]]), r, accepted, rejected)

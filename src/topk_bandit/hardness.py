@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .env import _arm_ids
+
 __all__ = [
     "HardnessReport",
     "gaps",
@@ -162,14 +164,15 @@ def hardness(means: np.ndarray, K: int, epsilon: float) -> HardnessReport:
 def aggregate_regret(means: np.ndarray, K: int, selected) -> float:
     """Average shortfall of a selected K-set versus the true best K arms.
 
-    ``selected`` holds 0-based ranks into the sorted mean vector; it must
-    contain exactly K distinct ranks.  The result is clamped at 0 to absorb
+    ``selected`` holds 0-based integer ranks into the sorted mean vector; it
+    must contain exactly K distinct ranks.  The result is clamped at 0 to absorb
     floating-point dust on perfect selections.
     """
     means = _require_sorted(means)
     if not 1 <= K <= means.size:
         raise ValueError(f"need 1 <= K <= n; got K={K}, n={means.size}")
-    sel = np.asarray(selected if isinstance(selected, np.ndarray) else list(selected), dtype=np.intp)
+    # Float ranks or a mask would be cast silently: reject them like arm ids.
+    sel = _arm_ids(selected if isinstance(selected, np.ndarray) else list(selected))
     if sel.size != K:
         raise ValueError(f"selected set has size {sel.size}, expected K={K}")
     if np.unique(sel).size != sel.size:

@@ -177,7 +177,9 @@ class _CapWatchdog(EnvironmentView):
 
     def pull_many(self, arms, m: int):
         arms = np.asarray(arms)  # no cast: the wrapped environment checks the ids
-        if np.any(arms == self._arm) and self._inner.pull_counts[self._arm] + int(m) > self._cap:
+        # An arm listed twice is pulled twice as often.
+        hits = np.count_nonzero(arms == self._arm)
+        if hits and self._inner.pull_counts[self._arm] + hits * int(m) > self._cap:
             raise _GiveUp
         return self._inner.pull_many(arms, m)
 

@@ -13,6 +13,7 @@ must still give the same integer threshold.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from topk_bandit.adaptive import (
     _schedule, _sorted_ids, adaptive_topk_fixed_budget,
 )
 from topk_bandit.baselines import _CB_C, _check_budget, cb_accept_reject_topk
-from topk_bandit.env import ArmEnvironment, Instance, _arm_ids
+from topk_bandit.env import ArmEnvironment, Instance, PullTrace, _arm_ids
 from topk_bandit.hardness import (
     HardnessReport, _require_k, _require_sorted, gaps, hardness, psi_quantities, t_of,
 )
@@ -45,7 +46,7 @@ class _Pool:
     window [lo, hi] that the one-arm-at-a-time sweep shrinks from its ends."""
 
     def __init__(self, arm_ids: np.ndarray, sums: np.ndarray, m: int):
-        order = ref_order_by_sums(sums, m)
+        self.order = order = ref_order_by_sums(sums, m)
         self.ids = arm_ids[order]
         self.vals = sums[order] / m
         self.lo = 0
@@ -375,17 +376,30 @@ def ref_hardness(means: np.ndarray, K: int, epsilon: float) -> HardnessReport:
 
 # --- _order_by_sums ---------------------------------------------------------
 
-ORDER_MS = [1, 2, 77, 65535, 65536, 10**6]  # the last two take the float sort
+# In-range integer sums take the int64 words; at 2^53 - 1 some take the
+# float sort, where the key and the position need 64 bits; at 2^60 + 1 all
+# do, as near m the floats of distinct sums tie.
+ORDER_MS = [1, 2, 77, 65535, 65536, 10**6, 2**40, 2**53 - 1, 2**60 + 1]
+
+
+def _order_branch(sums: np.ndarray, m: int) -> str:
+    """The sort _order_by_sums is meant to take: "word" or "float"."""
+    if not (sums.size and sums.dtype.kind in "iu" and m < 2**53 and 0 <= sums.min() and sums.max() <= m):
+        return "float"
+    span = int(sums.max()) - int(sums.min())
+    return "word" if span.bit_length() + (sums.size - 1).bit_length() <= 63 else "float"
 
 
 def _sums_cases(rng, m: int):
-    for size in (1, 2, 37, 2_000):
+    for size in (1, 2, 37, 1_000, 2_000):
         yield rng.integers(0, m + 1, size)                            # uniform
         yield rng.choice(rng.integers(0, m + 1, 3), size)             # heavy ties
         yield np.full(size, int(rng.integers(0, m + 1)))              # all equal
         yield rng.choice([0, m], size)                                # 0 and m only
         yield m - rng.binomial(m, rng.random(size))                   # complement sums
-        yield rng.integers(0, m + 1, size).astype(np.int32)
+        yield m // 2 + rng.integers(0, min(m - m // 2, 3_000) + 1, size)  # narrow span
+        if m < 2**31:
+            yield rng.integers(0, m + 1, size).astype(np.int32)
         yield rng.integers(0, m + 1, size).astype(np.uint64)
 
 
@@ -400,14 +414,31 @@ def _out_of_range_cases(rng, m: int):
         yield rng.integers(0, m + 1, size).astype(np.float64)
 
 
+def _order_cases(m: int):
+    rng = np.random.default_rng(m)
+    return list(_sums_cases(rng, m)) + list(_out_of_range_cases(rng, m))
+
+
 @pytest.mark.parametrize("m", ORDER_MS)
 def test_order_by_sums_matches_float_sort(m):
-    rng = np.random.default_rng(m)
-    cases = list(_sums_cases(rng, m)) + list(_out_of_range_cases(rng, m))
-    for sums in cases:
-        fast = _order_by_sums(sums, m)
-        assert np.array_equal(fast, ref_order_by_sums(sums, m)), (m, sums.dtype, sums[:10])
+    for sums in _order_cases(m):
+        ref = ref_order_by_sums(sums, m)
+        # A numpy integer m, too: uniform_topk gets one from a numpy budget.
+        for pulls in (m, np.int64(m)):
+            fast = _order_by_sums(sums, pulls)
+            assert np.array_equal(fast, ref), (m, type(pulls), sums.dtype, sums[:10])
+            assert fast.dtype == np.intp
     assert len(_order_by_sums(np.zeros(0, dtype=np.int64), m)) == 0
+
+
+def test_order_by_sums_cases_reach_every_branch():
+    counts = {m: Counter(_order_branch(sums, m) for sums in _order_cases(m)) for m in ORDER_MS}
+    assert {m: (c["word"], c["float"]) for m, c in counts.items()} == {
+        1: (40, 24), 2: (40, 24), 77: (40, 24), 65535: (40, 24),
+        65536: (40, 24), 10**6: (40, 24), 2**40: (35, 24),
+        2**53 - 1: (30, 29),  # 5 in-range cases need 64 bits
+        2**60 + 1: (0, 59),
+    }
 
 
 # --- _commit_sweep and _round_loop ----------------------------------------
@@ -445,7 +476,7 @@ def test_commit_sweep_matches_loop_on_random_pools():
             threshold = float(pool.vals[p - 1] - pool.vals[p])  # exactly b - a
         else:
             threshold = float(rng.random() * 0.6)
-        n_acc, n_rej = _commit_sweep(pool.vals[lo : hi + 1], k_rem, threshold)
+        n_acc, n_rej = _commit_sweep(sums, pool.order[lo : hi + 1], m, k_rem, threshold)
         acc_slow, rej_slow = [], []
         k_slow = ref_commit_sweep(pool, k_rem, threshold, acc_slow, rej_slow)
         assert (k_rem - n_acc, lo + n_acc, hi - n_rej) == (k_slow, pool.lo, pool.hi)
@@ -455,7 +486,7 @@ def test_commit_sweep_matches_loop_on_random_pools():
 
 def test_round_loop_matches_pool_loop():
     rng = np.random.default_rng(19)
-    committed = float_rounds = 0
+    committed = wide_rounds = 0
     for seed in range(300):
         n = int(rng.integers(2, 60))
         means = np.round(rng.random(n), int(rng.integers(0, 3)))  # ties at 0-2 decimals
@@ -474,8 +505,8 @@ def test_round_loop_matches_pool_loop():
         assert all(ids.dtype == np.intp for ids in (accepted, rejected, survivors))
         _same_env_state(fast_env, slow_env)
         committed += len(accepted) + len(rejected) > 0
-        float_rounds += sum(m >= 1 << 16 for m in seen)
-    assert committed > 100 and float_rounds > 50
+        wide_rounds += sum(m >= 1 << 16 for m in seen)
+    assert committed > 100 and wide_rounds > 50
 
 
 # --- cb_accept_reject_topk --------------------------------------------------
@@ -513,9 +544,20 @@ def test_cb_accept_reject_matches_loop(means, K, budget, seed):
 
 # --- adaptive_topk_fixed_budget --------------------------------------------
 
+def _top_up_split(result, events, n: int, K: int, budget: int):
+    """(q, extra) of the fixed-budget top-up, from the run's result and its
+    traced pull events, or None when no top-up ran."""
+    k_rem = K - len(result.accepted_early)
+    undecided = n - len(result.accepted_early) - len(result.rejected)
+    if k_rem < 1 or undecided <= k_rem:
+        return None
+    spent = sum(len(arms) * m for arms, m, _ in events[: result.rounds_completed])
+    return divmod(budget - spent, undecided)
+
+
 def test_fixed_budget_matches_tally_reference():
     rng = np.random.default_rng(17)
-    below_n = spread = tuned_runs = 0
+    below_n = even = extra = tuned_runs = 0
     for seed in range(400):
         n = int(rng.integers(2, 60))
         means = np.round(rng.random(n), int(rng.integers(0, 3)))  # ties at 0-2 decimals
@@ -529,22 +571,46 @@ def test_fixed_budget_matches_tally_reference():
             budget = int(rng.integers(n, 400 * n))                    # leaves a remainder
         delta = float(rng.choice([0.01, 0.1, 0.5]))
         tuned = bool(rng.random() < 0.5)
+        if kind >= 0.6:
+            # Cut the remainder off: the same rounds run, and the top-up
+            # spreads the rest evenly (extra == 0).
+            probe = PullTrace(_env(means, K, seed))
+            res = adaptive_topk_fixed_budget(probe, K, budget, delta=delta, tuned=tuned)
+            split = _top_up_split(res, probe.events, n, K, budget)
+            budget -= split[1] if split else 0
         fast_env, slow_env = _env(means, K, seed), _env(means, K, seed)
-        fast = adaptive_topk_fixed_budget(fast_env, K, budget, delta=delta, tuned=tuned)
+        traced = PullTrace(fast_env)
+        fast = adaptive_topk_fixed_budget(traced, K, budget, delta=delta, tuned=tuned)
         slow = ref_adaptive_topk_fixed_budget(slow_env, K, budget, delta=delta, tuned=tuned)
         assert fast == slow, (seed, n, K, budget, tuned)
         _same_env_state(fast_env, slow_env)
+        split = _top_up_split(fast, traced.events, n, K, budget)
         below_n += budget < n
-        spread += fast.total_pulls == budget and fast.rounds_completed >= 1
+        even += budget >= n and split is not None and split[1] == 0 and fast.rounds_completed >= 1
+        extra += budget >= n and split is not None and split[1] > 0
         tuned_runs += tuned
-    assert below_n > 50 and spread > 50 and 100 < tuned_runs < 300
+    assert below_n >= 50 and even >= 50 and extra >= 50 and 100 < tuned_runs < 300, \
+        (below_n, even, extra, tuned_runs)
+
+
+@pytest.mark.parametrize("budget", [3 * 10**8 + 1, 3 * 10**10 + 2, 3 * 10**16 + 1])
+def test_fixed_budget_top_up_matches_tally_reference_at_huge_pull_counts(budget):
+    # Survivors pulled P ~ budget / 3 times: P(P + 1) passes 2^53 (and 2^63).
+    means = np.array([0.5, 0.5, 0.5000001])
+    fast_env, slow_env = _env(means, 1, 0), _env(means, 1, 0)
+    traced = PullTrace(fast_env)
+    fast = adaptive_topk_fixed_budget(traced, 1, budget)
+    slow = ref_adaptive_topk_fixed_budget(slow_env, 1, budget)
+    assert fast == slow and fast.total_pulls == budget
+    assert _top_up_split(fast, traced.events, 3, 1, budget)[1] > 0
+    _same_env_state(fast_env, slow_env)
 
 
 # --- the improved subroutines ----------------------------------------------
 
 def _log_uniform(rng, lo: float, hi: float) -> float:
     # Precisions spread evenly in log scale, so the per-arm pull counts fall
-    # on both sides of 2^16, where _order_by_sums switches sorts.
+    # on both sides of 2^16, and _order_by_sums ranks keys of every width.
     return lo * (hi / lo) ** rng.random()
 
 

@@ -163,6 +163,18 @@ class TestAggregateRegret:
         with pytest.raises(ValueError):
             aggregate_regret(M4, 2, [0, 9])
 
+    @pytest.mark.parametrize("selected", [np.array([0.7, 1.9]), [0.0, 1.0], np.array([True, False])],
+                             ids=["float-array", "float-list", "mask"])
+    def test_non_integer_ranks_rejected(self, selected):
+        # A cast would truncate these to the ranks {0, 1}: regret 0.
+        with pytest.raises(ValueError, match="1-D array of integers"):
+            aggregate_regret(M4, 2, selected)
+
+    @pytest.mark.parametrize("selected", [[0, 2], (2, 0), range(0, 4, 2), np.array([0, 2], dtype=np.uint8),
+                                          np.array([2, 0], dtype=np.int32)])
+    def test_integer_ranks_in_any_form_accepted(self, selected):
+        assert aggregate_regret(M4, 2, selected) == pytest.approx(0.125)
+
     @pytest.mark.parametrize("K, selected", [(0, []), (-1, []), (5, [0, 1, 2, 3, 0]), (5, range(5))])
     def test_k_out_of_range_rejected(self, K, selected):
         with pytest.raises(ValueError, match=r"1 <= K <= n"):

@@ -177,3 +177,13 @@ def test_watchdog_gives_up_on_scalar_pulls_past_the_cap():
     with pytest.raises(_GiveUp):
         watched.pull_batch(1, 1)
     assert env.pull_counts.tolist() == [100, 10, 0, 0]  # the refused pull was not made
+
+
+def test_watchdog_charges_an_arm_listed_twice_for_every_listing():
+    env = ArmEnvironment(Instance(np.full(4, 0.5), 2, 0.1, 0.1), seed=0)
+    watched = _CapWatchdog(env, 1, 10)
+    with pytest.raises(_GiveUp):
+        watched.pull_many([1, 1], 6)  # 12 pulls of arm 1
+    assert env.pull_counts.tolist() == [0, 0, 0, 0]
+    watched.pull_many([1, 0, 1], 5)  # exactly at the cap
+    assert env.pull_counts.tolist() == [5, 10, 0, 0]
