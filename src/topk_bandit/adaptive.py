@@ -26,6 +26,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .env import _integer, _open, _positive
+
 __all__ = ["SelectionResult", "adaptive_topk", "adaptive_topk_fixed_budget"]
 
 
@@ -63,13 +65,12 @@ def _sorted_ids(ids) -> np.ndarray:
 class SelectionRun:
     """Pull accounting for one selection call; the only builder of results.
 
-    Checks 0 <= K <= env.n and snapshots the pull counters, so the result
-    reports only the pulls made after construction.
+    Checks that K is an integer in [0, env.n] and snapshots the pull
+    counters, so the result reports only the pulls made after construction.
     """
 
     def __init__(self, env, K: int):
-        if not 0 <= K <= env.n:
-            raise ValueError(f"K={K} out of range [0, {env.n}]")
+        _integer("K", K, 0, env.n)
         self.env = env
         self.K = K
         self._start = env.pull_counts.copy()
@@ -224,10 +225,8 @@ def adaptive_topk(env, K: int, epsilon: float, delta: float) -> SelectionResult:
         delta: failure probability, in (0, 1).
     """
     run = SelectionRun(env, K)
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
+    _positive("epsilon", epsilon)
+    _open("delta", delta)
     if run.trivial() or epsilon >= 1.0:
         # Any K arms meet a tolerance of 1 for means in [0, 1].
         return run.result(range(K), 0)
@@ -255,10 +254,8 @@ def adaptive_topk_fixed_budget(env, K: int, budget: int, delta: float = 0.01,
     benchmark protocol); there is no confidence guarantee in this mode.
     """
     run = SelectionRun(env, K)
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
+    _integer("budget", budget, 1)
+    _open("delta", delta)
     if run.trivial():
         return run.result(range(K), 0)
 

@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from .adaptive import SelectionResult, SelectionRun, _order_by_sums
+from .env import _integer
 
 __all__ = ["uniform_topk", "cb_accept_reject_topk"]
 
@@ -21,15 +22,10 @@ __all__ = ["uniform_topk", "cb_accept_reject_topk"]
 _CB_C = 4.0
 
 
-def _check_budget(env, budget: int) -> None:
-    if budget < env.n:
-        raise ValueError(f"budget {budget} is below one pull per arm (n={env.n})")
-
-
 def uniform_topk(env, K: int, budget: int) -> SelectionResult:
     """Split the budget evenly, then take the K best empirical means."""
     run = SelectionRun(env, K)
-    _check_budget(env, budget)
+    _integer("budget", budget, env.n)  # one pull per arm at least
     if run.trivial():
         return run.result(range(K), 1)
     n = env.n
@@ -51,7 +47,7 @@ def cb_accept_reject_topk(env, K: int, budget: int) -> SelectionResult:
     budget runs out.
     """
     run = SelectionRun(env, K)
-    _check_budget(env, budget)
+    _integer("budget", budget, env.n)  # one pull per arm at least
     if run.trivial():
         return run.result(range(K), 1)
 

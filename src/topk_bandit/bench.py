@@ -15,13 +15,13 @@ import concurrent.futures
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .adaptive import adaptive_topk, adaptive_topk_fixed_budget
 from .baselines import cb_accept_reject_topk, uniform_topk
-from .env import ArmEnvironment, Instance
+from .env import ArmEnvironment, Instance, _integer, _open, _positive
 from .hardness import aggregate_regret, hardness
 from .improved import improved_topk, opt_mai
 from .instances import gen_synthetic_p, gen_two_group, gen_uniform, load_means
@@ -100,7 +100,7 @@ class ExperimentConfig:
     """Everything one experiment needs; fully determines its report.
 
     ``instance`` is a generator name from ``GENERATORS`` or a path to a mean
-    file.  ``budgets`` must be strictly increasing.
+    file.  ``budgets`` must be non-empty, strictly increasing integers.
     """
 
     instance: str
@@ -116,16 +116,16 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for name in ("k", "n", "trials", "workers"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), 1))
+        _positive("epsilon", self.epsilon)
+        _open("delta", self.delta)
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
-        object.__setattr__(self, "budgets", tuple(int(b) for b in self.budgets))
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        object.__setattr__(self, "budgets", tuple(_integer("budget", b, 0) for b in self.budgets))
         if any(b2 <= b1 for b1, b2 in zip(self.budgets, self.budgets[1:])):
             raise ValueError("budget grid must be strictly increasing")
         if not self.budgets:
             raise ValueError("budget grid must not be empty")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
 
 @dataclass
@@ -240,8 +240,7 @@ def run_experiment(config: ExperimentConfig, algorithms: dict = None) -> Experim
         if name not in registry:
             raise ValueError(f"unknown algorithm: {name!r}")
     means = resolve_means(config)
-    if not 1 <= config.k <= means.size:
-        raise ValueError(f"K={config.k} out of range for n={means.size}")
+    _integer("k", config.k, 1, means.size)
 
     cells = [(algo_name, budget, trial)
              for algo_name in config.algorithms
@@ -271,16 +270,6 @@ def run_experiment(config: ExperimentConfig, algorithms: dict = None) -> Experim
                 "regret_std": float(np.std(regrets)),
                 "mean_total_pulls": float(np.mean(pulls)),
             })
-    cfg = {
-        "instance": config.instance,
-        "n": config.n,
-        "k": config.k,
-        "p": config.p,
-        "epsilon": config.epsilon,
-        "delta": config.delta,
-        "algorithms": list(config.algorithms),
-        "budgets": list(config.budgets),
-        "trials": config.trials,
-        "base_seed": config.base_seed,
-    }
+    cfg = asdict(config)
+    del cfg["workers"]  # the report is the same for every worker count
     return ExperimentReport(rows=rows, config=cfg)

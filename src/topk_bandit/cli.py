@@ -29,6 +29,7 @@ from .bench import (
     run_experiment,
     setup_trial,
 )
+from .env import _integer
 from .hardness import hardness
 from .lowerbound import optimal_coin_error, optimal_coin_log_error
 
@@ -145,8 +146,7 @@ def _means(args) -> np.ndarray:
 
 def _selection_means(args) -> np.ndarray:
     means = _means(args)
-    if not 1 <= args.k < means.size:
-        raise ValueError(f"need 1 <= K < n; got K={args.k}, n={means.size}")
+    _integer("k", args.k, 1, means.size - 1)
     return means
 
 

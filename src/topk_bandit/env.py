@@ -49,17 +49,12 @@ class Instance:
             raise ValueError("means must be a non-empty 1-D vector")
         if not np.all((means >= 0.0) & (means <= 1.0)):  # NaN fails both
             raise ValueError("every mean must be a number in [0, 1]")
-        if not _is_integer(self.K):
-            raise ValueError(f"K must be an integer, got {self.K!r}")
-        if not 1 <= self.K <= means.size:
-            raise ValueError(f"K={self.K} out of range [1, {means.size}]")
-        if not self.epsilon > 0.0:
-            raise ValueError("epsilon must be positive")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
+        K = _integer("K", self.K, 1, means.size)
+        _positive("epsilon", self.epsilon)
+        _open("delta", self.delta)
         means.flags.writeable = False
         object.__setattr__(self, "means", means)
-        object.__setattr__(self, "K", int(self.K))
+        object.__setattr__(self, "K", K)
 
     @property
     def n(self) -> int:
@@ -82,13 +77,26 @@ def _arm_ids(arms) -> np.ndarray:
     return arms.astype(np.intp, copy=False)
 
 
-def _batch_size(m) -> int:
-    # A float m would be truncated silently.
-    if not _is_integer(m):
-        raise ValueError(f"batch size m must be an integer, got {m!r}")
-    if m < 1:
-        raise ValueError("batch size m must be >= 1")
-    return int(m)
+def _integer(name: str, v, lo: int, hi: int = None) -> int:
+    """``v`` as an int; ValueError unless it is an integer in [lo, hi] (no
+    upper bound when hi is None).  A float or a bool is refused: a float
+    would be truncated silently, and True is not a count."""
+    if not (_is_integer(v) and lo <= v and (hi is None or v <= hi)):
+        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ValueError(f"{name} must be an integer {bound}, got {v!r}")
+    return int(v)
+
+
+def _open(name: str, v, hi: float = 1.0) -> None:
+    """ValueError unless 0 < v < hi (NaN fails)."""
+    if not 0.0 < v < hi:
+        raise ValueError(f"{name} must lie in (0, {hi:g}), got {v!r}")
+
+
+def _positive(name: str, v) -> None:
+    """ValueError unless v > 0 (NaN fails)."""
+    if not v > 0.0:
+        raise ValueError(f"{name} must be positive, got {v!r}")
 
 
 class ArmEnvironment:
@@ -125,7 +133,7 @@ class ArmEnvironment:
         arm = int(arm)
         if not 0 <= arm < self.n:
             raise IndexError(f"arm {arm} out of range [0, {self.n})")
-        m = _batch_size(m)
+        m = _integer("m", m, 1)
         reward = int(self._rng.binomial(m, self.instance.means[arm]))
         self.pull_counts[arm] += m
         return reward
@@ -142,11 +150,11 @@ class ArmEnvironment:
                 a scalar, say), m not an integer, or m < 1.
         """
         arms = _arm_ids(arms)
+        m = _integer("m", m, 1)
         if arms.size == 0:
             return np.zeros(0, dtype=np.int64)
         if arms.min() < 0 or arms.max() >= self.n:
             raise IndexError("arm index out of range")
-        m = _batch_size(m)
         sums = self._rng.binomial(m, self.instance.means[arms]).astype(np.int64, copy=False)
         np.add.at(self.pull_counts, arms, m)
         return sums

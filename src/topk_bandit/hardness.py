@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import _arm_ids
+from .env import _arm_ids, _integer, _positive
 
 __all__ = [
     "HardnessReport",
@@ -73,11 +73,6 @@ def _require_sorted(means: np.ndarray) -> np.ndarray:
     return means
 
 
-def _require_k(means: np.ndarray, K: int) -> None:
-    if not 1 <= K < means.size:
-        raise ValueError(f"need 1 <= K < n; got K={K}, n={means.size}")
-
-
 def gaps(means: np.ndarray, K: int) -> np.ndarray:
     """Distance of each arm's mean from the top-K boundary.
 
@@ -85,7 +80,7 @@ def gaps(means: np.ndarray, K: int) -> np.ndarray:
     theta_K - theta_i.  Requires K < n so the boundary values exist.
     """
     means = _require_sorted(means)
-    _require_k(means, K)
+    _integer("K", K, 1, means.size - 1)
     out = np.empty_like(means)
     out[:K] = means[:K] - means[K]
     out[K:] = means[K - 1] - means[K:]
@@ -121,14 +116,14 @@ def t_of(means: np.ndarray, K: int, epsilon: float) -> int:
     t = 0 always qualifies (both products vanish), so the result is total.
     """
     means = _require_sorted(means)
-    _require_k(means, K)
+    _integer("K", K, 1, means.size - 1)
     return _boundary(means, K, epsilon)[1]
 
 
 def psi_quantities(means: np.ndarray, K: int, epsilon: float):
     """Boundary-gap floor and its epsilon cap: (psi_t, max(epsilon, psi_t))."""
     means = _require_sorted(means)
-    _require_k(means, K)
+    _integer("K", K, 1, means.size - 1)
     psi_t = _boundary(means, K, epsilon)[2]
     return psi_t, max(float(epsilon), psi_t)
 
@@ -146,9 +141,8 @@ def hardness(means: np.ndarray, K: int, epsilon: float) -> HardnessReport:
     re-evaluations of the same formulas agree bit-for-bit.
     """
     means = _require_sorted(means)
-    _require_k(means, K)
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
+    _integer("K", K, 1, means.size - 1)
+    _positive("epsilon", epsilon)
     gap, t, psi_t, clamped = _boundary(means, K, epsilon)
     psi_eps = max(float(epsilon), psi_t)
 

@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .adaptive import SelectionResult, SelectionRun, _order_by_sums, _sorted_ids
-from .env import ComplementEnvironment, _arm_ids
+from .env import ComplementEnvironment, _arm_ids, _integer, _open, _positive
 
 __all__ = [
     "est_kth_arm",
@@ -108,11 +108,9 @@ def est_kth_arm(env, S, K: int, tau: float, phi: float, delta: float, rng=None):
         (arm index, its latest empirical mean).
     """
     arms = _arm_ids(S)
-    if not 1 <= K <= len(arms):
-        raise ValueError(f"need 1 <= K <= |S|; got K={K}, |S|={len(arms)}")
+    _integer("K", K, 1, len(arms))
     for name, v in (("tau", tau), ("phi", phi), ("delta", delta)):
-        if not 0.0 < v < 1.0:
-            raise ValueError(f"{name} must lie in (0, 1)")
+        _open(name, v)
     kept, means, _ = _halving(env, arms, K, tau, phi, delta)
     cut = _clamp(_round_half_down((1.0 - tau / 2.0) * K), 1, len(kept))
     cut_val = np.sort(means)[len(means) - cut]  # the cut-th largest mean
@@ -133,12 +131,11 @@ def eps_split(env, S, K: int, tau: float, phi: float, delta: float) -> np.ndarra
     code that knows the means enforces it).
     """
     arms = np.sort(_arm_ids(S))
-    if not 1 <= K <= len(arms):
-        raise ValueError(f"need 1 <= K <= |S|; got K={K}, |S|={len(arms)}")
+    _integer("K", K, 1, len(arms))
+    for name, v in (("tau", tau), ("phi", phi), ("delta", delta)):
+        _open(name, v)
     if K == len(arms):
         return _sorted_ids(arms)
-    if not 0.0 < tau < 1.0:
-        raise ValueError("tau must lie in (0, 1)")
     k_target = _clamp(_round_half_up((1.0 - tau) * K), 1, K)
     kept, _, last_seen = _halving(env, arms, k_target, tau, phi, delta)
     if len(kept) < K:
@@ -160,13 +157,11 @@ def elim_cost(size: int, gamma: float, phi: float, delta: float) -> int:
     return size * _elim_pulls(phi, gamma, delta)
 
 
-def _elim_core(env, S, gamma: float, phi: float, delta: float, reverse: bool) -> np.ndarray:
+def _elim_core(env, S, K: int, gamma: float, phi: float, delta: float, reverse: bool) -> np.ndarray:
     arms = np.sort(_arm_ids(S))
-    if len(arms) == 0:
-        raise ValueError("S must be non-empty")
-    for pname, v in (("gamma", gamma), ("phi", phi), ("delta", delta)):
-        if not 0.0 < v < 1.0:
-            raise ValueError(f"{pname} must lie in (0, 1)")
+    _integer("K", K, 1, len(arms))  # K >= 1 also refuses an empty S
+    for name, v in (("gamma", gamma), ("phi", phi), ("delta", delta)):
+        _open(name, v)
     m = _elim_pulls(phi, gamma, delta)
     sums = env.pull_many(arms, m)
     # The complement sums m - sums rank the smallest means first, ties to
@@ -182,7 +177,7 @@ def elim(env, S, K: int, gamma: float, phi: float, delta: float) -> np.ndarray:
     with probability 1 - delta at most gamma * K of the returned arms are
     among the true top-K of S.
     """
-    return _elim_core(env, S, gamma, phi, delta, reverse=False)
+    return _elim_core(env, S, K, gamma, phi, delta, reverse=False)
 
 
 def reverse_elim(env, S, K: int, gamma: float, phi: float, delta: float) -> np.ndarray:
@@ -192,7 +187,7 @@ def reverse_elim(env, S, K: int, gamma: float, phi: float, delta: float) -> np.n
     probability 1 - delta at most gamma * K of the returned arms are among
     the true bottom |S| - K of S.
     """
-    return _elim_core(env, S, gamma, phi, delta, reverse=True)
+    return _elim_core(env, S, K, gamma, phi, delta, reverse=True)
 
 
 def _opt_mai_pulls(size: int, epsilon: float, delta: float) -> int:
@@ -213,10 +208,9 @@ def opt_mai(env, S, K: int, epsilon: float, delta: float) -> np.ndarray:
     the pull count.
     """
     arms = np.sort(_arm_ids(S))
-    if not 0 <= K <= len(arms):
-        raise ValueError(f"need 0 <= K <= |S|; got K={K}, |S|={len(arms)}")
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
+    _integer("K", K, 0, len(arms))
+    _positive("epsilon", epsilon)
+    _open("delta", delta)
     if K in (0, len(arms)) or epsilon >= 1.0:
         return _sorted_ids(arms[:K])
     m = _opt_mai_pulls(len(arms), epsilon, delta)
@@ -234,10 +228,8 @@ def improved_topk(env, K: int, epsilon: float, delta: float) -> SelectionResult:
     for the bottom n - K arms and the rest are reported.
     """
     run = SelectionRun(env, K)
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
+    _positive("epsilon", epsilon)
+    _open("delta", delta)
     if run.trivial() or epsilon >= 1.0:
         return run.result(range(K), 0)
     n = env.n
@@ -292,15 +284,11 @@ def improved_topk(env, K: int, epsilon: float, delta: float) -> SelectionResult:
             tau_split = (K_R - K_L) / k_rem
             if tau_split < 1.0 and _round_half_up((1.0 - tau_split) * k_rem) >= 1:
                 chosen = eps_split(env, S, k_rem, tau_split, phi, delta / 100.0)
-            else:
-                # The split ratio collapses on small sets; a direct PAC
-                # selection at the budget's share of the tolerance is safe.
-                chosen = opt_mai(env, S, k_rem, K * epsilon / (10.0 * k_rem), delta / 100.0)
-            break
-
-        u_size = math.ceil(len(S) / 10)
-        if len(S) - u_size < k_rem:
-            # Shedding a tenth would cut into arms we must return.
+                break
+        if cond2 or len(S) - math.ceil(len(S) / 10) < k_rem:
+            # The split ratio collapses on small sets, or shedding a tenth
+            # would cut into arms we must return: a direct PAC selection at
+            # the budget's share of the tolerance is safe.
             chosen = opt_mai(env, S, k_rem, K * epsilon / (10.0 * k_rem), delta / 100.0)
             break
         gamma = epsilon * epsilon / (100.0 * r * r)

@@ -11,6 +11,7 @@ import os
 
 import numpy as np
 
+from .env import _integer, _positive
 from .hardness import _require_sorted
 
 __all__ = [
@@ -24,8 +25,7 @@ __all__ = [
 
 def gen_two_group(n: int, K: int) -> np.ndarray:
     """Two plateaus: the top K arms at 0.7, the remaining arms at 0.3."""
-    if not 1 <= K <= n:
-        raise ValueError(f"K={K} out of range [1, {n}]")
+    _integer("K", K, 1, _integer("n", n, 1))
     means = np.full(n, 0.3)
     means[:K] = 0.7
     return means
@@ -33,8 +33,7 @@ def gen_two_group(n: int, K: int) -> np.ndarray:
 
 def gen_uniform(n: int) -> np.ndarray:
     """Evenly spaced means: arm i (1-indexed) has mean 1 - i/n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _integer("n", n, 1)
     i = np.arange(1, n + 1, dtype=np.float64)
     return 1.0 - i / n
 
@@ -50,10 +49,8 @@ def gen_synthetic_p(n: int, K: int, p: float) -> np.ndarray:
     theta_1 = 1 and theta_n = 0, so the means span [0, 1] with no extra
     normalization.
     """
-    if not 1 <= K < n:
-        raise ValueError(f"need 1 <= K < n, got K={K}, n={n}")
-    if not p > 0:
-        raise ValueError("p must be positive")
+    _integer("K", K, 1, _integer("n", n, 1) - 1)
+    _positive("p", p)
     boundary = 1.0 - K / n
     i = np.arange(1, n + 1, dtype=np.float64)
     head = boundary + (K / n) * (1.0 - i[:K] / K) ** p

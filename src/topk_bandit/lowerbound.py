@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .env import ArmEnvironment, EnvironmentView, Instance
+from .env import ArmEnvironment, EnvironmentView, Instance, _integer, _open
 
 __all__ = [
     "Hidden",
@@ -57,8 +57,7 @@ class CoinTossingInstance:
     seed: int
 
     def __post_init__(self):
-        if not 0.0 < self.eta < 0.5:
-            raise ValueError("eta must lie in (0, 0.5)")
+        _open("eta", self.eta, 0.5)
 
     @property
     def bias(self) -> float:
@@ -101,10 +100,9 @@ def make_hard_instance(n: int, eta: float, seed: int, hidden: Hidden = None) -> 
         seed: drives the planted set, the index choice, and the coin draw.
         hidden: fix the coin's value instead of drawing it (useful in tests).
     """
-    if n < 2 or n % 2 != 0:
-        raise ValueError("n must be even and >= 2")
-    if not 0.0 < eta < 0.5:
-        raise ValueError("eta must lie in (0, 0.5)")
+    if _integer("n", n, 2) % 2:
+        raise ValueError(f"n must be even, got {n}")
+    _open("eta", eta, 0.5)
     K = n // 2
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x51ED)))
     planted = frozenset(int(a) for a in rng.choice(n, size=K, replace=False))
@@ -145,10 +143,8 @@ def optimal_coin_log_error(m: int, eta: float) -> float:
     here as an exact log-space binomial tail (returns -inf when the tail is
     empty).
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if not 0.0 < eta < 0.5:
-        raise ValueError("eta must lie in (0, 0.5)")
+    _integer("m", m, 1)
+    _open("eta", eta, 0.5)
     t, logpmf = _coin_threshold(m, eta)
     hi = math.floor(0.5 * m + t)
     if hi + 1 > m:
@@ -203,8 +199,7 @@ def reduction_run(algorithm, n: int, K: int, eta: float, epsilon: float, C: int,
         raise ValueError("the hard construction requires K = n / 2")
     if epsilon * K < DEFAULT_C_K:
         raise ValueError(f"need epsilon * K >= {DEFAULT_C_K} (got {epsilon * K})")
-    if C < 0:
-        raise ValueError("pull cap C must be non-negative")
+    _integer("C", C, 0)
     hard = make_hard_instance(n, eta, seed)
     eps_prime = eta * epsilon / 4.0
     env = ArmEnvironment(Instance(hard.means(), K, eps_prime, 0.1),

@@ -1,0 +1,71 @@
+"""Every public entry refuses a bad count or probability with a ValueError
+that names the argument, before any pull is made."""
+
+import math
+
+import numpy as np
+import pytest
+
+from topk_bandit import (
+    ArmEnvironment,
+    ExperimentConfig,
+    Instance,
+    adaptive_topk,
+    adaptive_topk_fixed_budget,
+    cb_accept_reject_topk,
+    elim,
+    eps_split,
+    gen_synthetic_p,
+    gen_two_group,
+    gen_uniform,
+    hardness,
+    improved_topk,
+    make_hard_instance,
+    opt_mai,
+    optimal_coin_log_error,
+    reduction_run,
+    uniform_topk,
+)
+
+MEANS = np.linspace(0.9, 0.1, 10)
+
+
+def _config(**kwargs):
+    return ExperimentConfig(**{"instance": "two-group", "k": 5, "budgets": (100,), **kwargs})
+
+
+# (argument named in the error, call on a fresh 10-arm environment)
+CASES = {
+    "adaptive-float-K": ("K", lambda env: adaptive_topk(env, 2.0, 0.1, 0.1)),
+    "adaptive-bool-K": ("K", lambda env: adaptive_topk(env, True, 0.1, 0.1)),
+    "improved-float-K": ("K", lambda env: improved_topk(env, 2.0, 0.1, 0.1)),
+    "uniform-float-budget": ("budget", lambda env: uniform_topk(env, 5, 100.0)),
+    "cb-ar-float-budget": ("budget", lambda env: cb_accept_reject_topk(env, 5, 100.0)),
+    "fixed-budget-inf-budget": ("budget", lambda env: adaptive_topk_fixed_budget(env, 5, math.inf)),
+    "opt-mai-negative-epsilon": ("epsilon", lambda env: opt_mai(env, range(10), 5, -0.1, 0.1)),
+    "eps-split-delta-above-1": ("delta", lambda env: eps_split(env, range(10), 5, 0.1, 0.1, 2.0)),
+    "eps-split-zero-phi": ("phi", lambda env: eps_split(env, range(10), 5, 0.1, 0, 0.1)),
+    "elim-float-K": ("K", lambda env: elim(env, range(10), 2.5, 0.1, 0.1, 0.1)),
+    "pull-many-empty-float-m": ("m", lambda env: env.pull_many([], 2.5)),
+    "hardness-float-K": ("K", lambda env: hardness(MEANS, 2.0, 0.1)),
+    "config-float-budget": ("budget", lambda env: _config(budgets=(10.7,))),
+    "config-float-trials": ("trials", lambda env: _config(trials=2.5)),
+    "config-float-workers": ("workers", lambda env: _config(workers=1.5)),
+    "config-float-k": ("k", lambda env: _config(k=2.5)),
+    "config-zero-epsilon": ("epsilon", lambda env: _config(epsilon=0.0)),
+    "config-delta-1": ("delta", lambda env: _config(delta=1.0)),
+    "gen-uniform-float-n": ("n", lambda env: gen_uniform(10.5)),
+    "gen-two-group-float-n": ("n", lambda env: gen_two_group(10.0, 3)),
+    "gen-synthetic-float-n": ("n", lambda env: gen_synthetic_p(10.0, 3, 1.0)),
+    "coin-bool-m": ("m", lambda env: optimal_coin_log_error(True, 0.1)),
+    "hard-instance-float-n": ("n", lambda env: make_hard_instance(4.0, 0.1, 0)),
+    "reduction-float-C": ("C", lambda env: reduction_run(adaptive_topk, 40, 20, 0.1, 0.2, C=2.5, seed=0)),
+}
+
+
+@pytest.mark.parametrize("name, call", CASES.values(), ids=CASES.keys())
+def test_bad_argument_is_refused_before_any_pull(name, call):
+    env = ArmEnvironment(Instance(MEANS, 5, 0.1, 0.1), seed=0)
+    with pytest.raises(ValueError, match=f"^{name} must "):
+        call(env)
+    assert env.total_pulls() == 0

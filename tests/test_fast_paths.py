@@ -22,10 +22,10 @@ from topk_bandit.adaptive import (
     SelectionResult, SelectionRun, _commit_sweep, _order_by_sums, _round_loop, _round_pulls,
     _schedule, _sorted_ids, adaptive_topk_fixed_budget,
 )
-from topk_bandit.baselines import _CB_C, _check_budget, cb_accept_reject_topk
-from topk_bandit.env import ArmEnvironment, Instance, PullTrace, _arm_ids
+from topk_bandit.baselines import _CB_C, cb_accept_reject_topk
+from topk_bandit.env import ArmEnvironment, Instance, PullTrace, _arm_ids, _integer
 from topk_bandit.hardness import (
-    HardnessReport, _require_k, _require_sorted, gaps, hardness, psi_quantities, t_of,
+    HardnessReport, _require_sorted, gaps, hardness, psi_quantities, t_of,
 )
 from topk_bandit.improved import (
     _clamp, _elim_pulls, _halving, _halving_rounds, _opt_mai_pulls, _round_half_down,
@@ -97,7 +97,7 @@ def ref_round_loop(env, K: int, delta: float, tuned: bool, more):
 
 def ref_cb_accept_reject_topk(env, K: int, budget: int) -> SelectionResult:
     run = SelectionRun(env, K)
-    _check_budget(env, budget)
+    _integer("budget", budget, env.n)
     if run.trivial():
         return run.result(range(K), 1)
 
@@ -335,7 +335,7 @@ def _t_conditions(gap: np.ndarray, K: int, epsilon: float, t: int) -> bool:
 
 def ref_t_of(means: np.ndarray, K: int, epsilon: float) -> int:
     means = _require_sorted(means)
-    _require_k(means, K)
+    _integer("K", K, 1, means.size - 1)
     if epsilon < 0:
         raise ValueError("epsilon must be non-negative")
     gap = gaps(means, K)
@@ -348,7 +348,7 @@ def ref_t_of(means: np.ndarray, K: int, epsilon: float) -> int:
 
 def ref_hardness(means: np.ndarray, K: int, epsilon: float) -> HardnessReport:
     means = _require_sorted(means)
-    _require_k(means, K)
+    _integer("K", K, 1, means.size - 1)
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     gap = gaps(means, K)

@@ -252,6 +252,18 @@ class TestImprovedTopK:
         decided = np.concatenate([res.accepted_early, res.rejected])
         assert np.array_equal(last_S, np.setdiff1d(np.arange(60), decided))
 
+    def test_collapsed_split_ratio_finishes_with_opt_mai(self, subroutine_calls):
+        # One open slot puts the split ratio (K_R - K_L) / k_rem above 1, so
+        # once the boundary gap shows, opt_mai must finish the run at the
+        # budget's share of the tolerance, K * eps / (10 k_rem), without
+        # shedding a tenth first (six arms would allow it).
+        env = make_env([0.1, 0.9, 0.1, 0.1, 0.1, 0.1], seed=3)
+        res = improved_topk(env, 1, 0.5, 0.1)
+        names = [name for name, _, _ in subroutine_calls]
+        assert names[-1] == "opt_mai" and not {"elim", "eps_split"} & set(names)
+        assert subroutine_calls[-1][1][2] == pytest.approx(0.05)
+        assert res.selected.tolist() == [1]
+
     def test_degenerate_cases(self):
         env = make_env([0.1, 0.9, 0.5], K=3)
         assert improved_topk(env, 3, 0.1, 0.1).selected.tolist() == [0, 1, 2]
