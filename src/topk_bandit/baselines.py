@@ -63,7 +63,7 @@ def cb_accept_reject_topk(env, K: int, budget: int) -> SelectionResult:
 
     while remaining > 0 and k_rem and len(u) > k_rem:
         means = sums[u] / counts[u]
-        T = max(run.spent(), 2)  # this run's pulls, not the environment's lifetime
+        T = max(budget - remaining, 2)  # this run's pulls, not the environment's lifetime
         radius = np.sqrt(np.log(_CB_C * n * T * T) / (2.0 * counts[u]))
 
         order = np.argsort(-means, kind="stable")
@@ -84,10 +84,11 @@ def cb_accept_reject_topk(env, K: int, budget: int) -> SelectionResult:
             continue
 
         margins = np.abs(means - boundary) - radius
-        x = int(u[int(np.argmin(margins))])
+        i = int(np.argmin(margins))
+        x = int(u[i])
         chunk = int(min(counts[x], remaining))
         counts[x] += chunk
-        sums[x] += env.pull_batch(x, chunk)
+        sums[x] += env.pull_many(u[i:i + 1], chunk)[0]
         remaining -= chunk
 
     accepted = np.concatenate(accepted)

@@ -118,6 +118,7 @@ class ExperimentConfig:
     def __post_init__(self):
         for name in ("k", "n", "trials", "workers"):
             object.__setattr__(self, name, _integer(name, getattr(self, name), 1))
+        object.__setattr__(self, "base_seed", _integer("base_seed", self.base_seed, 0))
         _positive("epsilon", self.epsilon)
         _open("delta", self.delta)
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
@@ -210,7 +211,7 @@ def setup_trial(means, K, epsilon, delta, shuffle_seed, env_seed):
 def _trial_outcome(task):
     """Run one seeded trial; returns (regret, total_pulls)."""
     means, K, epsilon, delta, algo_name, algo_fn, budget, trial, base_seed = task
-    shuffle_ss, env_ss = np.random.SeedSequence((int(base_seed), int(budget), int(trial))).spawn(2)
+    shuffle_ss, env_ss = np.random.SeedSequence((base_seed, budget, trial)).spawn(2)
     env, _, regret = setup_trial(means, K, epsilon, delta, shuffle_ss, env_ss)
     selected = list(algo_fn(env, K, epsilon, delta, budget))
     if len(set(selected)) != K:

@@ -61,12 +61,6 @@ class Instance:
         return self.means.size
 
 
-def _is_integer(v) -> bool:
-    # The type test first: the ABC check is far slower, and cb-ar's scalar
-    # pulls pay it on every call.  A bool is Integral, but never a count or id.
-    return type(v) is int or (isinstance(v, numbers.Integral) and not isinstance(v, bool))
-
-
 def _arm_ids(arms) -> np.ndarray:
     """``arms`` as an intp array; ValueError unless it is a 1-D array of
     integers (not a mask, a scalar or a set, say) or an empty list."""
@@ -81,7 +75,10 @@ def _integer(name: str, v, lo: int, hi: int = None) -> int:
     """``v`` as an int; ValueError unless it is an integer in [lo, hi] (no
     upper bound when hi is None).  A float or a bool is refused: a float
     would be truncated silently, and True is not a count."""
-    if not (_is_integer(v) and lo <= v and (hi is None or v <= hi)):
+    # The type test first: the ABC check is far slower.  A bool is Integral,
+    # but never a count or id.
+    is_int = type(v) is int or (isinstance(v, numbers.Integral) and not isinstance(v, bool))
+    if not (is_int and lo <= v and (hi is None or v <= hi)):
         bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
         raise ValueError(f"{name} must be an integer {bound}, got {v!r}")
     return int(v)
@@ -104,15 +101,17 @@ class ArmEnvironment:
 
     Maintains exact per-arm pull counters.  Algorithmic randomness (e.g. a
     uniform choice among candidate arms) should come from :meth:`spawn_rng`
-    so it never perturbs the reward stream.
+    so it never perturbs the reward stream.  ``seed`` is a ``SeedSequence``
+    or an integer >= 0.
 
     Not thread-safe: one environment per concurrent run.
     """
 
     def __init__(self, instance: Instance, seed):
         self.instance = instance
-        root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(int(seed))
-        reward_ss, algo_ss = root.spawn(2)
+        if not isinstance(seed, np.random.SeedSequence):
+            seed = np.random.SeedSequence(_integer("seed", seed, 0))
+        reward_ss, algo_ss = seed.spawn(2)
         self._rng = np.random.default_rng(reward_ss)
         self._algo_ss = algo_ss
         self.pull_counts = np.zeros(instance.n, dtype=np.int64)
@@ -120,23 +119,6 @@ class ArmEnvironment:
     @property
     def n(self) -> int:
         return self.instance.n
-
-    def pull_batch(self, arm: int, m: int) -> int:
-        """Pull one arm ``m`` times; returns the integer sum of rewards.
-
-        Raises:
-            IndexError: arm index out of range.
-            ValueError: arm or m not an integer, or m < 1.
-        """
-        if not _is_integer(arm):
-            raise ValueError(f"arm id must be an integer, got {arm!r}")
-        arm = int(arm)
-        if not 0 <= arm < self.n:
-            raise IndexError(f"arm {arm} out of range [0, {self.n})")
-        m = _integer("m", m, 1)
-        reward = int(self._rng.binomial(m, self.instance.means[arm]))
-        self.pull_counts[arm] += m
-        return reward
 
     def pull_many(self, arms: np.ndarray, m: int) -> np.ndarray:
         """Pull each arm in ``arms`` exactly ``m`` times (one vectorized request).
@@ -151,6 +133,15 @@ class ArmEnvironment:
         """
         arms = _arm_ids(arms)
         m = _integer("m", m, 1)
+        if arms.size == 1:
+            # numpy's scalar draw takes the same value from the stream as its
+            # array draw, at about 1.4 us against 10 us a call (2-core Xeon);
+            # cb-ar pulls one arm per step.
+            arm = int(arms[0])
+            if not 0 <= arm < self.n:
+                raise IndexError("arm index out of range")
+            self.pull_counts[arm] += m
+            return np.array([self._rng.binomial(m, self.instance.means[arm])], dtype=np.int64)
         if arms.size == 0:
             return np.zeros(0, dtype=np.int64)
         if arms.min() < 0 or arms.max() >= self.n:
@@ -170,8 +161,7 @@ class ArmEnvironment:
 
 class EnvironmentView:
     """An environment seen through a wrapper: forwards every member to the
-    wrapped environment.  A scalar :meth:`pull_batch` goes through the view's
-    own :meth:`pull_many`, so a subclass that changes the pulls overrides
+    wrapped environment, so a subclass that changes the pulls overrides
     :meth:`pull_many` alone."""
 
     def __init__(self, inner):
@@ -185,11 +175,6 @@ class EnvironmentView:
     @property
     def pull_counts(self) -> np.ndarray:
         return self._inner.pull_counts
-
-    def pull_batch(self, arm: int, m: int) -> int:
-        # One Binomial draw either way: a size-1 array draw takes the same
-        # value from the stream as the scalar draw.
-        return int(self.pull_many([arm], m)[0])
 
     def pull_many(self, arms: np.ndarray, m: int) -> np.ndarray:
         return self._inner.pull_many(arms, m)
@@ -222,10 +207,10 @@ class PullTrace(EnvironmentView):
     """View that records every pull request, and changes nothing else.
 
     Each request is appended to :attr:`events` as ``(arms, m, sums)``: the
-    arms pulled, the pulls per arm and their reward sums, as arrays (a scalar
-    :meth:`pull_batch` gives one-element arrays).  Every algorithm reads
-    rewards only through its environment, so a trace shows where the pulls
-    of any run went; the adaptive selectors' round r is event r - 1.
+    arms pulled, the pulls per arm and their reward sums, as arrays.  Every
+    algorithm reads rewards only through its environment, so a trace shows
+    where the pulls of any run went; the adaptive selectors' round r is event
+    r - 1.
     """
 
     def __init__(self, inner):

@@ -163,8 +163,7 @@ def aggregate_regret(means: np.ndarray, K: int, selected) -> float:
     floating-point dust on perfect selections.
     """
     means = _require_sorted(means)
-    if not 1 <= K <= means.size:
-        raise ValueError(f"need 1 <= K <= n; got K={K}, n={means.size}")
+    K = _integer("K", K, 1, means.size)
     # Float ranks or a mask would be cast silently: reject them like arm ids.
     sel = _arm_ids(selected if isinstance(selected, np.ndarray) else list(selected))
     if sel.size != K:

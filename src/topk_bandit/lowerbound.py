@@ -103,13 +103,14 @@ def make_hard_instance(n: int, eta: float, seed: int, hidden: Hidden = None) -> 
     if _integer("n", n, 2) % 2:
         raise ValueError(f"n must be even, got {n}")
     _open("eta", eta, 0.5)
+    seed = _integer("seed", seed, 0)
     K = n // 2
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x51ED)))
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x51ED)))
     planted = frozenset(int(a) for a in rng.choice(n, size=K, replace=False))
     special = int(rng.integers(n))
     if hidden is None:
         hidden = Hidden.PLUS if rng.integers(2) == 1 else Hidden.MINUS
-    coin = CoinTossingInstance(eta=eta, hidden_value=hidden, seed=int(seed))
+    coin = CoinTossingInstance(eta=eta, hidden_value=hidden, seed=seed)
     return HardBanditInstance(n=n, K=K, eta=eta, planted=planted,
                               special_index=special, coin=coin)
 
@@ -196,14 +197,15 @@ def reduction_run(algorithm, n: int, K: int, eta: float, epsilon: float, C: int,
         "plus", "minus", or "unknown".
     """
     if K * 2 != n:
-        raise ValueError("the hard construction requires K = n / 2")
+        raise ValueError(f"K must equal n / 2 for the hard construction, got K={K!r}, n={n!r}")
     if epsilon * K < DEFAULT_C_K:
-        raise ValueError(f"need epsilon * K >= {DEFAULT_C_K} (got {epsilon * K})")
+        raise ValueError(f"epsilon must satisfy epsilon * K >= {DEFAULT_C_K}, got {epsilon * K!r}")
     _integer("C", C, 0)
+    seed = _integer("seed", seed, 0)
     hard = make_hard_instance(n, eta, seed)
     eps_prime = eta * epsilon / 4.0
     env = ArmEnvironment(Instance(hard.means(), K, eps_prime, 0.1),
-                         seed=np.random.SeedSequence((int(seed), 0xC01)))
+                         seed=np.random.SeedSequence((seed, 0xC01)))
     cap = math.floor(20.0 * C / n)
     watched = _CapWatchdog(env, hard.special_index, cap)
     try:

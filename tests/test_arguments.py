@@ -12,6 +12,7 @@ from topk_bandit import (
     Instance,
     adaptive_topk,
     adaptive_topk_fixed_budget,
+    aggregate_regret,
     cb_accept_reject_topk,
     elim,
     eps_split,
@@ -60,6 +61,15 @@ CASES = {
     "coin-bool-m": ("m", lambda env: optimal_coin_log_error(True, 0.1)),
     "hard-instance-float-n": ("n", lambda env: make_hard_instance(4.0, 0.1, 0)),
     "reduction-float-C": ("C", lambda env: reduction_run(adaptive_topk, 40, 20, 0.1, 0.2, C=2.5, seed=0)),
+    "env-float-seed": ("seed", lambda env: ArmEnvironment(Instance(MEANS, 5, 0.1, 0.1), 2.9)),
+    "env-bool-seed": ("seed", lambda env: ArmEnvironment(Instance(MEANS, 5, 0.1, 0.1), True)),
+    "config-float-base-seed": ("base_seed", lambda env: _config(base_seed=1.7)),
+    "reduction-float-seed": ("seed", lambda env: reduction_run(adaptive_topk, 40, 20, 0.1, 0.2, C=0, seed=2.5)),
+    "aggregate-regret-bool-K": ("K", lambda env: aggregate_regret(MEANS, True, [0])),
+    "aggregate-regret-float-K": ("K", lambda env: aggregate_regret(MEANS, 2.0, [0, 1])),
+    "reduction-K-not-half": ("K", lambda env: reduction_run(adaptive_topk, 40, 10, 0.1, 0.4, C=0, seed=0)),
+    "reduction-small-epsilon-K": ("epsilon",
+                                  lambda env: reduction_run(adaptive_topk, 40, 20, 0.1, 0.1, C=0, seed=0)),
 }
 
 

@@ -12,6 +12,12 @@ def make_env(means, seed=0, K=1):
     return ArmEnvironment(Instance(np.asarray(means, dtype=float), K, 0.1, 0.1), seed=seed)
 
 
+# The environment and each view of it must check pull requests alike.
+VIEWS = pytest.mark.parametrize("view", [lambda env: env, ComplementEnvironment, PullTrace,
+                                         lambda env: _CapWatchdog(env, 0, 10**9)],
+                                ids=["env", "complement", "trace", "watchdog"])
+
+
 class TestInstance:
     def test_rejects_out_of_range_means(self):
         with pytest.raises(ValueError):
@@ -53,30 +59,32 @@ class TestInstance:
 
 
 class TestPullBatch:
+    """A batch of m pulls of one arm: a one-arm ``pull_many`` request."""
+
     def test_zero_mean_arm_yields_zero(self):
         env = make_env([0.0, 0.5])
-        assert env.pull_batch(0, 100) == 0
+        assert env.pull_many([0], 100).tolist() == [0]
 
     def test_unit_mean_arm_is_deterministic(self):
         env = make_env([1.0, 0.5])
-        assert env.pull_batch(0, 57) == 57
+        assert env.pull_many([0], 57).tolist() == [57]
 
     def test_fair_arm_concentrates(self):
         # Hoeffding at deviation 0.003 with 1e6 pulls: tail below 1e-8.
         env = make_env([0.5], seed=123)
-        s = env.pull_batch(0, 10**6)
+        s = env.pull_many([0], 10**6)[0]
         assert 0.497 <= s / 10**6 <= 0.503
 
     def test_counters_and_errors(self):
         env = make_env([0.3, 0.6])
-        env.pull_batch(0, 3)
-        env.pull_batch(1, 4)
+        env.pull_many([0], 3)
+        env.pull_many([1], 4)
         assert list(env.pull_counts) == [3, 4]
         assert env.total_pulls() == 7
         with pytest.raises(IndexError):
-            env.pull_batch(2, 1)
+            env.pull_many([2], 1)
         with pytest.raises(ValueError):
-            env.pull_batch(0, 0)
+            env.pull_many([0], 0)
 
     def test_fresh_environment_has_zero_pulls(self):
         assert make_env([0.1, 0.2]).total_pulls() == 0
@@ -87,14 +95,14 @@ def test_determinism_same_seed_same_requests():
     for seed in (0, 1, 99):
         a = make_env(means, seed=seed)
         b = make_env(means, seed=seed)
-        seq_a = [a.pull_batch(i % 3, 5 + i) for i in range(20)]
-        seq_b = [b.pull_batch(i % 3, 5 + i) for i in range(20)]
+        seq_a = [a.pull_many([i % 3], 5 + i).tolist() for i in range(20)]
+        seq_b = [b.pull_many([i % 3], 5 + i).tolist() for i in range(20)]
         assert seq_a == seq_b
         assert np.array_equal(a.pull_counts, b.pull_counts)
 
 
 def test_different_seeds_differ():
-    draws = {make_env([0.5], seed=s).pull_batch(0, 1000) for s in range(8)}
+    draws = {make_env([0.5], seed=s).pull_many([0], 1000)[0] for s in range(8)}
     assert len(draws) > 1
 
 
@@ -112,28 +120,25 @@ def test_pull_many_matches_counters():
     assert env.total_pulls() == 109
 
 
-@pytest.mark.parametrize("view", [lambda env: env, ComplementEnvironment, PullTrace,
-                                  lambda env: _CapWatchdog(env, 0, 10**9)],
-                         ids=["env", "complement", "trace", "watchdog"])
+@VIEWS
 @pytest.mark.parametrize("request_", [
-    ("many", [True, False], 1),              # a mask is not a list of ids
-    ("many", np.array([0.0, 1.7]), 2),
-    ("many", np.array([0, 1], dtype=object), 2),
-    ("many", np.array([[0, 1], [1, 2]]), 2),
-    ("many", np.int64(2), 3),
-    ("many", [0, 1], 2.9),
-    ("many", [0, 1], 2.0),
-    ("many", [0, 1], "2"),
-    ("batch", 1, 3.5),
-    ("batch", 1.7, 3),
+    ([True, False], 1),              # a mask is not a list of ids
+    (np.array([0.0, 1.7]), 2),
+    (np.array([0, 1], dtype=object), 2),
+    (np.array([[0, 1], [1, 2]]), 2),
+    (np.int64(2), 3),
+    ([0, 1], 2.9),
+    ([0, 1], 2.0),
+    ([0, 1], "2"),
+    ([1], 3.5),                      # a one-arm batch takes the same checks
+    ([1.7], 3),
 ], ids=["bool-mask", "float-ids", "object-ids", "2-d-ids", "scalar-id",
         "float-m", "integral-float-m", "str-m", "batch-float-m", "batch-float-arm"])
 def test_rejects_non_integer_pull_requests(view, request_):
-    kind, arms, m = request_
+    arms, m = request_
     env, fresh = make_env([0.2, 0.5, 0.8], seed=5), make_env([0.2, 0.5, 0.8], seed=5)
-    pull = view(env).pull_many if kind == "many" else view(env).pull_batch
     with pytest.raises(ValueError, match="integer"):
-        pull(arms, m)
+        view(env).pull_many(arms, m)
     # Rejected before anything was drawn or counted.
     assert env.total_pulls() == 0
     assert env.pull_many([0, 1, 2], 9).tolist() == fresh.pull_many([0, 1, 2], 9).tolist()
@@ -142,9 +147,9 @@ def test_rejects_non_integer_pull_requests(view, request_):
 @pytest.mark.parametrize("call", [
     lambda env: Instance(np.array([0.2, 0.5, 0.8]), True, 0.1, 0.1),
     lambda env: env.pull_many([0, 1], True),
-    lambda env: env.pull_batch(0, True),
-    lambda env: env.pull_batch(True, 2),
-], ids=["K", "pull-many-m", "pull-batch-m", "arm"])
+    lambda env: env.pull_many([0], True),
+    lambda env: env.pull_many([True], 2),
+], ids=["K", "pull-many-m", "one-arm-m", "arm"])
 def test_rejects_bool_where_an_integer_is_required(call):
     # bool is a numbers.Integral, but True is not a count or an arm id.
     env, fresh = make_env([0.2, 0.5, 0.8], seed=5), make_env([0.2, 0.5, 0.8], seed=5)
@@ -154,25 +159,46 @@ def test_rejects_bool_where_an_integer_is_required(call):
     assert env.pull_many([0, 1, 2], 9).tolist() == fresh.pull_many([0, 1, 2], 9).tolist()
 
 
-def test_scalar_pull_batch_draws_as_a_one_arm_pull_many():
-    # Views answer pull_batch through pull_many, so a scalar draw and a
-    # size-1 array draw must take the same value from the reward stream.
-    # Small and large m reach both of numpy's Binomial samplers.
+def test_one_arm_requests_draw_as_the_vector_request():
+    # A one-arm request takes numpy's scalar draw, the vector request its array
+    # draw; the vector request is the reference.  Requesting the ids of one
+    # vector request one at a time, in order, must take the same values from
+    # the reward stream and count the same pulls.  Means 0 and 1 and m up to
+    # 10^6 reach every branch of numpy's Binomial sampler.
     rng = np.random.default_rng(3)
-    means = np.concatenate([[0.0, 1.0], rng.random(6)])
-    for seed in range(200):
-        a, b = make_env(means, seed=seed), make_env(means, seed=seed)
-        for arm, m in zip(rng.integers(0, means.size, 25), np.exp(rng.uniform(0, 14, 25)).astype(int) + 1):
-            assert a.pull_batch(arm, m) == int(b.pull_many([arm], m)[0])
+    for case in range(300):
+        means = np.concatenate([[0.0, 1.0], rng.random(6)])
+        a, b = make_env(means, seed=case), make_env(means, seed=case)
+        for _ in range(4):
+            arms = rng.integers(0, means.size, int(rng.integers(2, 12)))
+            m = int(rng.choice([1, 3, 30, 1000, 10**6]))
+            singles = [a.pull_many(arms[i:i + 1], m) for i in range(arms.size)]
+            assert all(s.shape == (1,) and s.dtype == np.int64 for s in singles)
+            assert np.concatenate(singles).tolist() == b.pull_many(arms, m).tolist()
         assert np.array_equal(a.pull_counts, b.pull_counts)
 
 
+@VIEWS
+@pytest.mark.parametrize("arms, m, error", [
+    ([3], 2, IndexError),
+    ([-1], 2, IndexError),
+    ([1], 0, ValueError),
+    ([1], True, ValueError),
+], ids=["out-of-range-id", "negative-id", "zero-m", "bool-m"])
+def test_refused_one_arm_request_counts_nothing(view, arms, m, error):
+    env, fresh = make_env([0.2, 0.5, 0.8], seed=5), make_env([0.2, 0.5, 0.8], seed=5)
+    with pytest.raises(error):
+        view(env).pull_many(arms, m)
+    assert env.total_pulls() == 0
+    assert env.pull_many([0, 1, 2], 9).tolist() == fresh.pull_many([0, 1, 2], 9).tolist()
+
+
 def test_batch_distribution_chi_square():
-    # Empirical law of pull_batch(., m) across seeds matches Binomial(m, theta).
+    # Empirical law of a one-arm batch of m pulls across seeds matches Binomial(m, theta).
     m, theta, n_seeds = 5, 0.3, 100_000
     counts = np.zeros(m + 1, dtype=int)
     for seed in range(n_seeds):
-        counts[ArmEnvironment(Instance(np.array([theta]), 1, 0.1, 0.1), seed).pull_batch(0, m)] += 1
+        counts[ArmEnvironment(Instance(np.array([theta]), 1, 0.1, 0.1), seed).pull_many([0], m)[0]] += 1
     expected = stats.binom.pmf(np.arange(m + 1), m, theta) * n_seeds
     _, p = stats.chisquare(counts, expected)
     assert p > 0.001
@@ -183,8 +209,8 @@ def test_complement_environment_flips_rewards():
     shadow = make_env([0.8, 0.1], seed=7)
     comp = ComplementEnvironment(inner)
     for arm in (0, 1):
-        got = comp.pull_batch(arm, 40)
-        assert got == 40 - shadow.pull_batch(arm, 40)
+        got = comp.pull_many([arm], 40)
+        assert got.tolist() == (40 - shadow.pull_many([arm], 40)).tolist()
     assert np.array_equal(comp.pull_counts, shadow.pull_counts)
     np.testing.assert_allclose(comp.instance.means, [0.2, 0.9])
 
@@ -195,7 +221,7 @@ def test_complement_distribution():
     counts = np.zeros(m + 1, dtype=int)
     for seed in range(n_seeds):
         env = ComplementEnvironment(make_env([theta], seed=seed))
-        counts[env.pull_batch(0, m)] += 1
+        counts[env.pull_many([0], m)[0]] += 1
     expected = stats.binom.pmf(np.arange(m + 1), m, 1 - theta) * n_seeds
     _, p = stats.chisquare(counts, expected)
     assert p > 0.001

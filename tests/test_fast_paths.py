@@ -143,7 +143,7 @@ def ref_cb_accept_reject_topk(env, K: int, budget: int) -> SelectionResult:
         x = int(u[int(np.argmin(margins))])
         chunk = int(min(counts[x], remaining))
         counts[x] += chunk
-        sums[x] += env.pull_batch(x, chunk)
+        sums[x] += env.pull_many([x], chunk)[0]
         remaining -= chunk
 
     k_rem = K - len(accepted)

@@ -177,7 +177,7 @@ class TestAggregateRegret:
 
     @pytest.mark.parametrize("K, selected", [(0, []), (-1, []), (5, [0, 1, 2, 3, 0]), (5, range(5))])
     def test_k_out_of_range_rejected(self, K, selected):
-        with pytest.raises(ValueError, match=r"1 <= K <= n"):
+        with pytest.raises(ValueError, match=r"^K must be an integer in \[1, 4\]"):
             aggregate_regret(M4, K, selected)
 
     def test_never_negative(self, rng):

@@ -168,14 +168,14 @@ class TestReductionRun:
             reduction_run(_fixed_answer_algorithm([0]), 8, 4, 0.1, 0.5, 10, 0)  # eps*K < 4
 
 
-def test_watchdog_gives_up_on_scalar_pulls_past_the_cap():
+def test_watchdog_gives_up_on_one_arm_pulls_past_the_cap():
     env = ArmEnvironment(Instance(np.full(4, 0.5), 2, 0.1, 0.1), seed=0)
     watched = _CapWatchdog(env, 1, 10)
-    watched.pull_batch(1, 6)
-    watched.pull_batch(0, 100)  # other arms have no cap
-    watched.pull_batch(1, 4)  # exactly at the cap
+    watched.pull_many([1], 6)
+    watched.pull_many([0], 100)  # other arms have no cap
+    watched.pull_many([1], 4)  # exactly at the cap
     with pytest.raises(_GiveUp):
-        watched.pull_batch(1, 1)
+        watched.pull_many([1], 1)
     assert env.pull_counts.tolist() == [100, 10, 0, 0]  # the refused pull was not made
 
 
