@@ -119,24 +119,24 @@ def _order_by_sums(sums: np.ndarray, m: int) -> np.ndarray:
     subroutines all use it.  Every arm had the same m pulls, so for integer
     sums in [0, m] with m < 2^53 the mean is strictly increasing in the sum,
     and the order is the stable ascending order of the exact integer key
-    ``hi - sums``, hi being the largest sum.  The key is shifted left past
-    the b bits of the position and the position or-ed in: those int64 words
-    are distinct, so any sort of them gives the stable order, and the low b
-    bits read it off.  Keys too wide for that, and any other input, take the
-    float sort.
+    ``m - sums``.  One int64 subtract forms the key, and one unsigned max
+    over it checks the range: the subtract wraps modulo 2^64, so a sum below
+    0 or above m leaves a key that reads above m as unsigned.  The key is
+    shifted left past the b bits of the position and the position or-ed in:
+    those int64 words are distinct, so any sort of them gives the stable
+    order, and the low b bits read it off.  Keys too wide for that, and any
+    other input, take the float sort.
     """
-    if sums.size and sums.dtype.kind in "iu" and m < 1 << 53:
-        lo, hi = sums.min(), sums.max()
-        if 0 <= lo and hi <= m:
-            span = int(hi) - int(lo)
-            b = (sums.size - 1).bit_length()
-            if span.bit_length() + b <= 63:
-                words = (hi - sums).astype(np.int64, copy=False)
-                words <<= b
-                words |= np.arange(sums.size)
-                words.sort()
-                words &= (1 << b) - 1
-                return words
+    if sums.size and sums.dtype.kind in "iu" and 0 <= m < 1 << 53:
+        words = np.subtract(m, sums, dtype=np.int64, casting="unsafe")
+        top = int(words.view(np.uint64).max())
+        b = (sums.size - 1).bit_length()
+        if top <= m and top.bit_length() + b <= 63:
+            words <<= b
+            words |= np.arange(sums.size)
+            words.sort()
+            words &= (1 << b) - 1
+            return words
     return np.argsort(-(sums / m), kind="stable")
 
 
@@ -163,8 +163,10 @@ def _commit_sweep(sums: np.ndarray, order: np.ndarray, m: int, k_rem: int,
     if k_rem < 1 or size <= k_rem:
         return 0, 0
 
+    # Python scalars: sums and m are below 2^53, so the quotient is the same
+    # float64 numpy would give, without a numpy scalar per probe.
     def val(i):
-        return sums[order[i]] / m
+        return sums.item(order.item(i)) / m
 
     a, b = val(k_rem), val(k_rem - 1)
     n_acc = bisect_left(range(k_rem), True, key=lambda i: val(i) - a <= threshold)

@@ -65,6 +65,19 @@ def _default_seed() -> int:
     return 0
 
 
+def _integer_list(name: str, text) -> list:
+    """Comma-separated integers; ValueError naming ``name`` at a token that
+    is not one (empty tokens are skipped)."""
+    values = []
+    for tok in str(text).split(","):
+        if tok.strip():
+            try:
+                values.append(int(tok))
+            except ValueError:
+                raise ValueError(f"{name} must be an integer, got {tok.strip()!r}") from None
+    return values
+
+
 def _add_instance_flags(p, required=True):
     # ``experiment`` may take --instance and --k from its config file instead.
     p.add_argument("--instance", required=required,
@@ -169,7 +182,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _integer("seed", args.seed if args.seed is not None else _default_seed(), 0)
     means = _selection_means(args)
     select, takes_budget = ALGORITHMS[args.algo]
     if takes_budget and args.budget is None:
@@ -220,7 +233,7 @@ def _cmd_experiment(args, argv) -> int:
     if args.budgets == "auto":
         budgets = default_budget_grid(means, args.k, args.epsilon)
     else:
-        budgets = [int(b) for b in str(args.budgets).split(",") if b.strip()]
+        budgets = _integer_list("budget", args.budgets)
     config = ExperimentConfig(
         instance=args.instance, k=args.k, n=args.n, p=args.p,
         epsilon=args.epsilon, delta=args.delta, algorithms=algos,
@@ -236,7 +249,7 @@ def _cmd_experiment(args, argv) -> int:
 
 
 def _cmd_lowerbound(args) -> int:
-    ms = [int(m) for m in str(args.m).split(",") if m.strip()]
+    ms = _integer_list("m", args.m)
     if not ms:
         raise ValueError("--m must list at least one toss count")
     lines = ["m,error,log_error"]

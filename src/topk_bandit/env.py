@@ -144,7 +144,8 @@ class ArmEnvironment:
             return np.array([self._rng.binomial(m, self.instance.means[arm])], dtype=np.int64)
         if arms.size == 0:
             return np.zeros(0, dtype=np.int64)
-        if arms.min() < 0 or arms.max() >= self.n:
+        # One pass: a negative id wraps above n as unsigned.
+        if arms.view(np.uintp).max() >= self.n:
             raise IndexError("arm index out of range")
         sums = self._rng.binomial(m, self.instance.means[arms]).astype(np.int64, copy=False)
         np.add.at(self.pull_counts, arms, m)

@@ -68,7 +68,7 @@ def _require_sorted(means: np.ndarray) -> np.ndarray:
     means = np.asarray(means, dtype=np.float64)
     if means.ndim != 1 or means.size == 0:
         raise ValueError("means must be a non-empty 1-D vector")
-    if np.any(np.diff(means) > 0):
+    if np.any(means[1:] > means[:-1]):
         raise ValueError("means must be sorted non-increasing")
     return means
 
@@ -168,11 +168,15 @@ def aggregate_regret(means: np.ndarray, K: int, selected) -> float:
     sel = _arm_ids(selected if isinstance(selected, np.ndarray) else list(selected))
     if sel.size != K:
         raise ValueError(f"selected set has size {sel.size}, expected K={K}")
-    if np.unique(sel).size != sel.size:
+    # Sorted as unsigned, a negative rank wraps above n: the last entry
+    # checks the range, and equal neighbours are duplicates.
+    ranks = np.sort(sel.view(np.uintp))
+    if np.any(ranks[1:] == ranks[:-1]):
         raise ValueError("selected set contains duplicate ranks")
-    if sel.size and (sel.min() < 0 or sel.max() >= means.size):
+    if ranks[-1] >= means.size:
         raise ValueError("selected rank out of range")
-    shortfall = (math.fsum(means[:K]) - math.fsum(means[sel])) / K
+    # A memoryview hands fsum Python floats one at a time, with no list.
+    shortfall = (math.fsum(memoryview(means[:K])) - math.fsum(memoryview(means[sel]))) / K
     return max(0.0, shortfall)
 
 

@@ -78,23 +78,23 @@ def _halving(env, arms: np.ndarray, k_target: int, tau: float, phi: float, delta
     """Successive halving keeping the top max(k_target, half) arms per round,
     on the schedule of :func:`_halving_rounds`.
 
-    Returns (kept, kept_means, last_seen): ``kept`` holds the
-    survivors' positions in ``arms``, best first, and ``last_seen`` is an
-    array aligned with ``arms`` giving every input arm the freshest mean
-    observed before it was dropped (or at the end, for survivors).  The
-    calibration pass of a set that already fits keeps the input order.
+    Returns (kept, kept_means, rounds): ``kept`` holds the survivors'
+    positions in ``arms``, best first, ``kept_means`` their last means, and
+    ``rounds`` each round's (positions pulled, their reward sums, m), in
+    round order, from which the freshest mean of every input arm can be
+    rebuilt.  The calibration pass of a set that already fits keeps the
+    input order.
     """
     arms = np.asarray(arms, dtype=np.intp)
     kept = np.arange(len(arms))
-    last_seen = np.empty(len(arms))
+    rounds = []
     for size, m in _halving_rounds(len(arms), k_target, tau, phi, delta):
         sums = env.pull_many(arms[kept], m)
-        means = sums / m
-        last_seen[kept] = means
+        rounds.append((kept, sums, m))
         if size > k_target:
             keep = _order_by_sums(sums, m)[: max(k_target, math.ceil(size / 2))]
-            kept, means = kept[keep], means[keep]
-    return kept, means, last_seen
+            kept, sums = kept[keep], sums[keep]
+    return kept, sums / m, rounds
 
 
 def est_kth_arm(env, S, K: int, tau: float, phi: float, delta: float, rng=None):
@@ -137,9 +137,13 @@ def eps_split(env, S, K: int, tau: float, phi: float, delta: float) -> np.ndarra
     if K == len(arms):
         return _sorted_ids(arms)
     k_target = _clamp(_round_half_up((1.0 - tau) * K), 1, K)
-    kept, _, last_seen = _halving(env, arms, k_target, tau, phi, delta)
+    kept, _, rounds = _halving(env, arms, k_target, tau, phi, delta)
     if len(kept) < K:
         # "any arms" would do for the contract; the freshest means are free.
+        # Later rounds overwrite earlier ones, leaving each arm's last mean.
+        last_seen = np.empty(len(arms))
+        for pulled, sums, m in rounds:
+            last_seen[pulled] = sums / m
         # ``arms`` is sorted, so a stable sort breaks ties by arm id.
         rest = np.setdiff1d(np.arange(len(arms)), kept, assume_unique=True)
         top_up = rest[np.argsort(-last_seen[rest], kind="stable")[: K - len(kept)]]

@@ -171,3 +171,26 @@ def test_lowerbound_csv(capsys, tmp_path):
     assert lines[0] == "m,error,log_error"
     m, err, log_err = lines[1].split(",")
     assert int(m) == 100 and 0 < float(err) < 1 and float(log_err) < 0
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--instance", "two-group", "--n", "20", "--k", "5", "--algo", "adaptive", "--seed", "-1"],
+     "seed must be an integer >= 0, got -1"),
+    (["experiment", "--instance", "two-group", "--n", "20", "--k", "5", "--trials", "1",
+      "--budgets", "1000,2500.5"], "budget must be an integer, got '2500.5'"),
+    (["lowerbound", "--m", "10,2.5"], "m must be an integer, got '2.5'"),
+], ids=["run-negative-seed", "experiment-float-budget", "lowerbound-float-m"])
+def test_bad_integer_names_its_argument(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_DATA
+    assert f"error: {message}" in err
+    assert out == ""
+
+
+def test_negative_seed_from_environment_names_the_seed(capsys, monkeypatch):
+    monkeypatch.setenv("TOPK_BANDIT_SEED", "-1")
+    code, out, err = run_cli(capsys, "run", "--instance", "two-group", "--n", "10",
+                             "--k", "2", "--algo", "adaptive")
+    assert code == EXIT_DATA
+    assert "error: seed must be an integer >= 0, got -1" in err
+    assert out == ""

@@ -193,6 +193,19 @@ def test_refused_one_arm_request_counts_nothing(view, arms, m, error):
     assert env.pull_many([0, 1, 2], 9).tolist() == fresh.pull_many([0, 1, 2], 9).tolist()
 
 
+@VIEWS
+@pytest.mark.parametrize("arms", [[0, -1], [0, 3], [-2**62, 1]],
+                         ids=["negative-id", "out-of-range-id", "large-negative-id"])
+def test_refused_array_request_counts_nothing(view, arms):
+    # The array path checks its ids in one unsigned pass: a negative id wraps
+    # above n, so it is refused like an id past the end.
+    env, fresh = make_env([0.2, 0.5, 0.8], seed=5), make_env([0.2, 0.5, 0.8], seed=5)
+    with pytest.raises(IndexError):
+        view(env).pull_many(arms, 2)
+    assert env.total_pulls() == 0
+    assert env.pull_many([0, 1, 2], 9).tolist() == fresh.pull_many([0, 1, 2], 9).tolist()
+
+
 def test_batch_distribution_chi_square():
     # Empirical law of a one-arm batch of m pulls across seeds matches Binomial(m, theta).
     m, theta, n_seeds = 5, 0.3, 100_000

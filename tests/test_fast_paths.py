@@ -377,8 +377,8 @@ def ref_hardness(means: np.ndarray, K: int, epsilon: float) -> HardnessReport:
 # --- _order_by_sums ---------------------------------------------------------
 
 # In-range integer sums take the int64 words; at 2^53 - 1 some take the
-# float sort, where the key and the position need 64 bits; at 2^60 + 1 all
-# do, as near m the floats of distinct sums tie.
+# float sort, where the largest key m - min(sums) and the position need 64
+# bits; at 2^60 + 1 all do, as near m the floats of distinct sums tie.
 ORDER_MS = [1, 2, 77, 65535, 65536, 10**6, 2**40, 2**53 - 1, 2**60 + 1]
 
 
@@ -386,8 +386,8 @@ def _order_branch(sums: np.ndarray, m: int) -> str:
     """The sort _order_by_sums is meant to take: "word" or "float"."""
     if not (sums.size and sums.dtype.kind in "iu" and m < 2**53 and 0 <= sums.min() and sums.max() <= m):
         return "float"
-    span = int(sums.max()) - int(sums.min())
-    return "word" if span.bit_length() + (sums.size - 1).bit_length() <= 63 else "float"
+    top = m - int(sums.min())  # the largest key m - sums
+    return "word" if top.bit_length() + (sums.size - 1).bit_length() <= 63 else "float"
 
 
 def _sums_cases(rng, m: int):
@@ -403,12 +403,20 @@ def _sums_cases(rng, m: int):
         yield rng.integers(0, m + 1, size).astype(np.uint64)
 
 
+INT64 = np.iinfo(np.int64)
+
+
 def _out_of_range_cases(rng, m: int):
     for size in (1, 2, 37, 2_000):
-        for bad in (-1, -1 - int(rng.integers(70_000)), m + 1, m + 1 + int(rng.integers(70_000))):
+        for bad in (-1, -1 - int(rng.integers(70_000)), m + 1, m + 1 + int(rng.integers(70_000)),
+                    INT64.min, INT64.max):
             sums = rng.integers(0, m + 1, size)
             sums[rng.integers(size)] = bad
             yield sums
+        # m - sums wraps in 64 bits; these must still read as out of range.
+        sums = rng.integers(0, m + 1, size).astype(np.uint64)
+        sums[rng.integers(size)] = np.iinfo(np.uint64).max
+        yield sums
         # Duck-typed float sums, in range: halves must not truncate into ties.
         yield rng.integers(0, m, size) + rng.choice([0.0, 0.5], size)
         yield rng.integers(0, m + 1, size).astype(np.float64)
@@ -431,13 +439,25 @@ def test_order_by_sums_matches_float_sort(m):
     assert len(_order_by_sums(np.zeros(0, dtype=np.int64), m)) == 0
 
 
-def test_order_by_sums_cases_reach_every_branch():
-    counts = {m: Counter(_order_branch(sums, m) for sums in _order_cases(m)) for m in ORDER_MS}
+def test_order_by_sums_cases_reach_every_branch(monkeypatch):
+    # The float sort is the one np.argsort call: count it to see the branch taken.
+    calls = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *a, **kw: calls.append(1) or argsort(*a, **kw))
+    counts = {}
+    for m in ORDER_MS:
+        counts[m] = Counter()
+        for sums in _order_cases(m):
+            calls.clear()
+            _order_by_sums(sums, m)
+            taken = "float" if calls else "word"
+            assert taken == _order_branch(sums, m), (m, sums.dtype, sums[:10])
+            counts[m][taken] += 1
     assert {m: (c["word"], c["float"]) for m, c in counts.items()} == {
-        1: (40, 24), 2: (40, 24), 77: (40, 24), 65535: (40, 24),
-        65536: (40, 24), 10**6: (40, 24), 2**40: (35, 24),
-        2**53 - 1: (30, 29),  # 5 in-range cases need 64 bits
-        2**60 + 1: (0, 59),
+        1: (40, 36), 2: (40, 36), 77: (40, 36), 65535: (40, 36),
+        65536: (40, 36), 10**6: (40, 36), 2**40: (35, 36),
+        2**53 - 1: (28, 43),  # 7 in-range cases need 64 bits
+        2**60 + 1: (0, 71),
     }
 
 
@@ -637,11 +657,17 @@ def test_halving_matches_loop():
         for size, m in _halving_rounds(len(arms), k_target, tau, phi, delta):
             sorts[m >= 1 << 16] += size > k_target
         fast_env, slow_env = _env(means, 1, seed), _env(means, 1, seed)
-        kept, kept_means, last_seen = _halving(fast_env, arms, k_target, tau, phi, delta)
+        kept, kept_means, rounds = _halving(fast_env, arms, k_target, tau, phi, delta)
         R, R_means, seen, ref_pulls = ref_halving(slow_env, arms, k_target, tau, phi, delta)
         assert arms[kept].tolist() == R.tolist()
         assert kept_means.tolist() == R_means.tolist()
-        assert dict(zip(arms.tolist(), last_seen.tolist())) == seen
+        # The rounds, replayed in order, leave each arm's freshest mean.
+        assert [(len(pulled), m) for pulled, _, m in rounds] == list(
+            _halving_rounds(len(arms), k_target, tau, phi, delta))
+        last_seen = {}
+        for pulled, sums, m in rounds:
+            last_seen.update(zip(arms[pulled].tolist(), (sums / m).tolist()))
+        assert last_seen == seen
         assert fast_env.total_pulls() == ref_pulls
         _same_env_state(fast_env, slow_env)
     assert sorts[False] >= 100 and sorts[True] >= 100

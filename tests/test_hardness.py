@@ -163,6 +163,13 @@ class TestAggregateRegret:
         with pytest.raises(ValueError):
             aggregate_regret(M4, 2, [0, 9])
 
+    @pytest.mark.parametrize("selected", [[0, -1], [-1, 0], np.array([3, -2**62]), [0, 4]],
+                             ids=["negative-last", "negative-first", "large-negative", "past-the-end"])
+    def test_rank_out_of_range_rejected(self, selected):
+        # One unsigned sort checks the range: a negative rank wraps above n.
+        with pytest.raises(ValueError, match="selected rank out of range"):
+            aggregate_regret(M4, 2, selected)
+
     @pytest.mark.parametrize("selected", [np.array([0.7, 1.9]), [0.0, 1.0], np.array([True, False])],
                              ids=["float-array", "float-list", "mask"])
     def test_non_integer_ranks_rejected(self, selected):
