@@ -140,8 +140,7 @@ class ExperimentReport:
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
         writer.writeheader()
-        for row in self.rows:
-            writer.writerow({k: _fmt(row[k]) for k in CSV_COLUMNS})
+        writer.writerows(self.rows)
         return buf.getvalue()
 
     def to_json(self) -> str:
@@ -152,12 +151,6 @@ class ExperimentReport:
             if row["algorithm"] == algorithm and row["budget"] == budget:
                 return row
         raise KeyError((algorithm, budget))
-
-
-def _fmt(v):
-    if isinstance(v, float):
-        return repr(v)
-    return v
 
 
 def resolve_means(config: ExperimentConfig) -> np.ndarray:
@@ -194,16 +187,11 @@ def setup_trial(means, K, epsilon, delta, shuffle_seed, env_seed):
     aggregate regret of a selection given as environment arm indices.
     """
     means = np.asarray(means, dtype=np.float64)
-    n = means.size
-    shuffled = means[np.random.default_rng(shuffle_seed).permutation(n)]
+    shuffled = means[np.random.default_rng(shuffle_seed).permutation(means.size)]
     env = ArmEnvironment(Instance(shuffled, K, epsilon, delta), seed=env_seed)
-    order = np.argsort(-shuffled, kind="stable")
-    rank_of = np.empty(n, dtype=np.intp)
-    rank_of[order] = np.arange(n)
-    sorted_means = shuffled[order]
 
     def regret(selected) -> float:
-        return aggregate_regret(sorted_means, K, rank_of[list(selected)])
+        return aggregate_regret(shuffled, K, selected)
 
     return env, shuffled, regret
 
@@ -213,10 +201,12 @@ def _trial_outcome(task):
     means, K, epsilon, delta, algo_name, algo_fn, budget, trial, base_seed = task
     shuffle_ss, env_ss = np.random.SeedSequence((base_seed, budget, trial)).spawn(2)
     env, _, regret = setup_trial(means, K, epsilon, delta, shuffle_ss, env_ss)
-    selected = list(algo_fn(env, K, epsilon, delta, budget))
-    if len(set(selected)) != K:
-        raise RuntimeError(f"{algo_name} returned {len(set(selected))} arms, expected {K}")
-    return regret(selected), env.total_pulls()
+    selected = algo_fn(env, K, epsilon, delta, budget)
+    try:
+        score = regret(selected)
+    except ValueError as exc:
+        raise ValueError(f"{algo_name} returned a bad selection: {exc}") from None
+    return score, env.total_pulls()
 
 
 def run_experiment(config: ExperimentConfig, algorithms: dict = None) -> ExperimentReport:

@@ -191,11 +191,11 @@ def _cmd_run(args) -> int:
     env, _, regret_of = setup_trial(means, args.k, args.epsilon, args.delta,
                                     np.random.SeedSequence((seed, 0x5F)),
                                     np.random.SeedSequence((seed, 0xE)))
-    selected = sorted(select(env, args.k, args.epsilon, args.delta, budget))
+    selected = select(env, args.k, args.epsilon, args.delta, budget)
     regret = regret_of(selected)
     print(json.dumps({
         "algorithm": args.algo,
-        "selected": [int(a) for a in selected],
+        "selected": selected.tolist(),
         "total_pulls": env.total_pulls(),
         "regret": regret,
         "success": regret <= args.epsilon,

@@ -1,11 +1,11 @@
 """Instance-level mathematics: gaps, exchange allowance, hardness, and regret.
 
-All operations here take a mean vector sorted non-increasing; callers that
-hold shuffled means must sort first (stable sort, ties keeping original
-order, for deterministic reports).
+The gap and hardness operations take a mean vector sorted non-increasing
+(callers that hold shuffled means sort first); ``aggregate_regret`` and
+``is_eps_top_k`` take means in any order.
 
 Conventions:
-    * Arm positions in this module are 0-based ranks into the sorted vector.
+    * Arm positions are 0-based indices; into a sorted vector they are ranks.
     * The boundary gap index K+t+1 can exceed n on extreme instances; it is
       clamped to n and the clamp is recorded on the report.
     * A zero gap contributes the capped term, never infinity.
@@ -64,13 +64,22 @@ class HardnessReport:
         }
 
 
-def _require_sorted(means: np.ndarray) -> np.ndarray:
+def _vector(means) -> np.ndarray:
     means = np.asarray(means, dtype=np.float64)
     if means.ndim != 1 or means.size == 0:
         raise ValueError("means must be a non-empty 1-D vector")
+    return means
+
+
+def _require_sorted(means: np.ndarray) -> np.ndarray:
+    means = _vector(means)
     if np.any(means[1:] > means[:-1]):
         raise ValueError("means must be sorted non-increasing")
     return means
+
+
+def _gaps(means: np.ndarray, K: int) -> np.ndarray:
+    return np.concatenate((means[:K] - means[K], means[K - 1] - means[K:]))
 
 
 def gaps(means: np.ndarray, K: int) -> np.ndarray:
@@ -81,10 +90,7 @@ def gaps(means: np.ndarray, K: int) -> np.ndarray:
     """
     means = _require_sorted(means)
     _integer("K", K, 1, means.size - 1)
-    out = np.empty_like(means)
-    out[:K] = means[:K] - means[K]
-    out[K:] = means[K - 1] - means[K:]
-    return out
+    return _gaps(means, K)
 
 
 def _boundary(means: np.ndarray, K: int, epsilon: float):
@@ -96,10 +102,10 @@ def _boundary(means: np.ndarray, K: int, epsilon: float):
     gap(rank K+t+1) * t <= K * epsilon (tail rank clamped to n), or 0 when
     none does.
     """
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise ValueError("epsilon must be non-negative")
     n = means.size
-    gap = gaps(means, K)
+    gap = _gaps(means, K)
     ts = np.arange(1, K)
     budget = K * epsilon
     ok = (gap[K - ts - 1] * ts <= budget) & (gap[np.minimum(K + ts + 1, n) - 1] * ts <= budget)
@@ -158,25 +164,28 @@ def hardness(means: np.ndarray, K: int, epsilon: float) -> HardnessReport:
 def aggregate_regret(means: np.ndarray, K: int, selected) -> float:
     """Average shortfall of a selected K-set versus the true best K arms.
 
-    ``selected`` holds 0-based integer ranks into the sorted mean vector; it
-    must contain exactly K distinct ranks.  The result is clamped at 0 to absorb
-    floating-point dust on perfect selections.
+    ``means`` may be in any order.  ``selected`` holds exactly K distinct
+    0-based integer indices into it; on a vector sorted non-increasing an
+    index is a rank.  The result is clamped at 0 to absorb floating-point
+    dust on perfect selections.
     """
-    means = _require_sorted(means)
+    means = _vector(means)
     K = _integer("K", K, 1, means.size)
-    # Float ranks or a mask would be cast silently: reject them like arm ids.
+    # Float ids or a mask would be cast silently: reject them like arm ids.
     sel = _arm_ids(selected if isinstance(selected, np.ndarray) else list(selected))
     if sel.size != K:
         raise ValueError(f"selected set has size {sel.size}, expected K={K}")
-    # Sorted as unsigned, a negative rank wraps above n: the last entry
+    # Sorted as unsigned, a negative index wraps above n: the last entry
     # checks the range, and equal neighbours are duplicates.
-    ranks = np.sort(sel.view(np.uintp))
-    if np.any(ranks[1:] == ranks[:-1]):
+    ids = np.sort(sel.view(np.uintp))
+    if np.any(ids[1:] == ids[:-1]):
         raise ValueError("selected set contains duplicate ranks")
-    if ranks[-1] >= means.size:
+    if ids[-1] >= means.size:
         raise ValueError("selected rank out of range")
-    # A memoryview hands fsum Python floats one at a time, with no list.
-    shortfall = (math.fsum(memoryview(means[:K])) - math.fsum(memoryview(means[sel]))) / K
+    # fsum rounds exactly and tied arms have equal means, so any top-K
+    # partition sums alike; a memoryview passes fsum floats with no list.
+    best = math.fsum(memoryview(np.partition(means, -K)[-K:]))
+    shortfall = (best - math.fsum(memoryview(means[sel]))) / K
     return max(0.0, shortfall)
 
 

@@ -103,7 +103,7 @@ def check_c_spread(means: np.ndarray, c: float, tol: float = 1e-9) -> bool:
         ValueError: if ``means`` is not sorted non-increasing or c < 1.
     """
     means = _require_sorted(means)
-    if c < 1.0:
+    if not c >= 1.0:
         raise ValueError("c must be >= 1")
     n = means.size
     k = np.arange(n, dtype=np.float64)

@@ -14,6 +14,7 @@ from topk_bandit import (
     adaptive_topk_fixed_budget,
     aggregate_regret,
     cb_accept_reject_topk,
+    check_c_spread,
     elim,
     eps_split,
     gen_synthetic_p,
@@ -24,7 +25,9 @@ from topk_bandit import (
     make_hard_instance,
     opt_mai,
     optimal_coin_log_error,
+    psi_quantities,
     reduction_run,
+    t_of,
     uniform_topk,
 )
 
@@ -70,6 +73,9 @@ CASES = {
     "reduction-K-not-half": ("K", lambda env: reduction_run(adaptive_topk, 40, 10, 0.1, 0.4, C=0, seed=0)),
     "reduction-small-epsilon-K": ("epsilon",
                                   lambda env: reduction_run(adaptive_topk, 40, 20, 0.1, 0.1, C=0, seed=0)),
+    "t-of-nan-epsilon": ("epsilon", lambda env: t_of(MEANS, 5, math.nan)),
+    "psi-nan-epsilon": ("epsilon", lambda env: psi_quantities(MEANS, 5, math.nan)),
+    "c-spread-nan-c": ("c", lambda env: check_c_spread(MEANS, math.nan)),
 }
 
 

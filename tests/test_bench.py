@@ -107,6 +107,23 @@ def test_failure_probability_counts_strict_exceedances():
     assert report.row("b", 100)["failure_probability"] == 1.0
 
 
+# Selections of the 20-arm, K = 5 instance that no arm set matches.
+BAD_SELECTIONS = {
+    "too-short": [0, 1, 2, 3],
+    "duplicate": [0, 1, 2, 3, 3],
+    "negative": [-1, 0, 1, 2, 3],  # not the last arm
+    "past-the-end": [0, 1, 2, 3, 20],
+    "float-ids": [0.0, 1.0, 2.0, 3.0, 4.0],
+}
+
+
+@pytest.mark.parametrize("selection", BAD_SELECTIONS.values(), ids=BAD_SELECTIONS.keys())
+def test_bad_selection_is_refused_naming_the_algorithm(selection):
+    cfg = small_config(algorithms=("bad-pick",), trials=1, budgets=(100,))
+    with pytest.raises(ValueError, match="^bad-pick returned a bad selection: "):
+        run_experiment(cfg, algorithms={"bad-pick": lambda env, K, epsilon, delta, budget: selection})
+
+
 def test_default_budget_grid_properties():
     means = gen_two_group(1000, 100)
     grid = default_budget_grid(means, 100, 0.01)

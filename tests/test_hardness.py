@@ -187,6 +187,26 @@ class TestAggregateRegret:
         with pytest.raises(ValueError, match=r"^K must be an integer in \[1, 4\]"):
             aggregate_regret(M4, K, selected)
 
+    def test_means_in_any_order(self):
+        shuffled = np.array([0.25, 0.75, 0.0, 0.5])  # M4 with arms 0..3 at ranks 2, 0, 3, 1
+        assert aggregate_regret(shuffled, 2, [1, 3]) == 0.0
+        assert aggregate_regret(shuffled, 2, [1, 0]) == pytest.approx(0.125)
+
+    def test_ids_on_shuffled_means_score_as_ranks_on_sorted_means(self, rng):
+        # Reference: the rank map the harness used before scoring on ids.
+        # Means on a coarse grid tie often, which the stable sort must not
+        # make matter.
+        for _ in range(300):
+            n = int(rng.integers(1, 40))
+            means = np.round(rng.uniform(0, 1, n) * rng.integers(1, 6)) / 5
+            shuffled = rng.permutation(means)
+            order = np.argsort(-shuffled, kind="stable")
+            rank_of = np.empty(n, dtype=np.intp)
+            rank_of[order] = np.arange(n)
+            for K in {1, n, int(rng.integers(1, n + 1))}:
+                ids = rng.choice(n, size=K, replace=False)
+                assert aggregate_regret(shuffled, K, ids) == aggregate_regret(shuffled[order], K, rank_of[ids])
+
     def test_never_negative(self, rng):
         for _ in range(50):
             n = int(rng.integers(2, 30))
