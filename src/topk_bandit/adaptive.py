@@ -278,19 +278,16 @@ def adaptive_topk_fixed_budget(env, K: int, budget: int, delta: float = 0.01,
         if extra:
             observe(survivors[:extra], 1, env.pull_many(survivors[:extra], 1))
         # Every survivor was pulled P times, the first ``extra`` once more.
+        # Budget < n leaves P = 0: an unpulled arm counts as pulled once, and
+        # with sum 0 the stable tie-break ranks it after the pulled ones.
         pulls = run.pulls()[survivors]
-        P = int(pulls[-1])
-        if P == 0:
-            # Budget < n: the unpulled arms have sum 0 and come after the
-            # pulled ones, so the stable tie-break ranks them last.
-            order = _order_by_sums(sums[survivors], 1)
+        np.maximum(pulls, 1, out=pulls)
+        # On the common scale L, sums * (L / pulls) ranks as sums / pulls;
+        # L < 2^53 keeps those keys exact.
+        L = math.lcm(int(pulls[0]), int(pulls[-1]))
+        if L < 1 << 53:
+            order = _order_by_sums(sums[survivors] * (L // pulls), L)
         else:
-            # On the common scale L, sums * (L / pulls) ranks as sums / pulls;
-            # L < 2^53 keeps those keys exact.
-            L = P * (P + 1) if extra else P
-            if L < 1 << 53:
-                order = _order_by_sums(sums[survivors] * (L // pulls), L)
-            else:
-                order = _order_by_sums(sums[survivors] / pulls, 1)
+            order = _order_by_sums(sums[survivors] / pulls, 1)
         survivors = survivors[order]
     return run.result(np.concatenate([accepted, survivors[:k_rem]]), r, accepted, rejected)

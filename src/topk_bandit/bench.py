@@ -100,7 +100,8 @@ class ExperimentConfig:
     """Everything one experiment needs; fully determines its report.
 
     ``instance`` is a generator name from ``GENERATORS`` or a path to a mean
-    file.  ``budgets`` must be non-empty, strictly increasing integers.
+    file.  ``algorithms`` must be non-empty distinct names; ``budgets``
+    non-empty, strictly increasing integers.
     """
 
     instance: str
@@ -122,6 +123,8 @@ class ExperimentConfig:
         _positive("epsilon", self.epsilon)
         _open("delta", self.delta)
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
+        if not self.algorithms or len(set(self.algorithms)) < len(self.algorithms):
+            raise ValueError(f"algorithms must be distinct names, at least one, got {self.algorithms!r}")
         object.__setattr__(self, "budgets", tuple(_integer("budget", b, 0) for b in self.budgets))
         if any(b2 <= b1 for b1, b2 in zip(self.budgets, self.budgets[1:])):
             raise ValueError("budget grid must be strictly increasing")

@@ -161,30 +161,18 @@ class ArmEnvironment:
 
 
 class EnvironmentView:
-    """An environment seen through a wrapper: forwards every member to the
-    wrapped environment, so a subclass that changes the pulls overrides
-    :meth:`pull_many` alone."""
+    """An environment seen through a wrapper.  Any member the view does not
+    define is the wrapped environment's, so a subclass states only what it
+    changes: its pulls, say, or its instance."""
 
     def __init__(self, inner):
         self._inner = inner
-        self.instance = inner.instance
 
-    @property
-    def n(self) -> int:
-        return self._inner.n
-
-    @property
-    def pull_counts(self) -> np.ndarray:
-        return self._inner.pull_counts
-
-    def pull_many(self, arms: np.ndarray, m: int) -> np.ndarray:
-        return self._inner.pull_many(arms, m)
-
-    def total_pulls(self) -> int:
-        return self._inner.total_pulls()
-
-    def spawn_rng(self) -> np.random.Generator:
-        return self._inner.spawn_rng()
+    def __getattr__(self, name):
+        # Called only for members the view lacks.  ``_inner`` is read without
+        # this hook: while it is unset (a copy under construction), the
+        # lookup fails with AttributeError instead of recursing.
+        return getattr(object.__getattribute__(self, "_inner"), name)
 
 
 class ComplementEnvironment(EnvironmentView):
@@ -201,7 +189,8 @@ class ComplementEnvironment(EnvironmentView):
         self.instance = Instance(1.0 - inst.means, inst.K, inst.epsilon, inst.delta)
 
     def pull_many(self, arms: np.ndarray, m: int) -> np.ndarray:
-        return int(m) - self._inner.pull_many(arms, m)
+        sums = self._inner.pull_many(arms, m)  # checks m before it is used
+        return int(m) - sums
 
 
 class PullTrace(EnvironmentView):

@@ -19,7 +19,7 @@ are designed to tolerate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -53,15 +53,7 @@ class HardnessReport:
     index_clamped: bool
 
     def to_dict(self) -> dict:
-        return {
-            "gaps": [float(g) for g in self.gaps],
-            "t": self.t,
-            "psi_t": self.psi_t,
-            "psi_t_eps": self.psi_t_eps,
-            "h_t_eps": self.h_t_eps,
-            "h_0_eps": self.h_0_eps,
-            "index_clamped": self.index_clamped,
-        }
+        return {**asdict(self), "gaps": self.gaps.tolist()}
 
 
 def _vector(means) -> np.ndarray:
@@ -179,9 +171,9 @@ def aggregate_regret(means: np.ndarray, K: int, selected) -> float:
     # checks the range, and equal neighbours are duplicates.
     ids = np.sort(sel.view(np.uintp))
     if np.any(ids[1:] == ids[:-1]):
-        raise ValueError("selected set contains duplicate ranks")
+        raise ValueError("selected set contains duplicate ids")
     if ids[-1] >= means.size:
-        raise ValueError("selected rank out of range")
+        raise ValueError("selected id out of range")
     # fsum rounds exactly and tied arms have equal means, so any top-K
     # partition sums alike; a memoryview passes fsum floats with no list.
     best = math.fsum(memoryview(np.partition(means, -K)[-K:]))

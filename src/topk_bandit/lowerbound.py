@@ -176,7 +176,7 @@ class _CapWatchdog(EnvironmentView):
         arms = np.asarray(arms)  # no cast: the wrapped environment checks the ids
         # An arm listed twice is pulled twice as often.
         hits = np.count_nonzero(arms == self._arm)
-        if hits and self._inner.pull_counts[self._arm] + hits * int(m) > self._cap:
+        if hits and self._inner.pull_counts[self._arm] + hits * _integer("m", m, 1) > self._cap:
             raise _GiveUp
         return self._inner.pull_many(arms, m)
 

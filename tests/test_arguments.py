@@ -76,6 +76,8 @@ CASES = {
     "t-of-nan-epsilon": ("epsilon", lambda env: t_of(MEANS, 5, math.nan)),
     "psi-nan-epsilon": ("epsilon", lambda env: psi_quantities(MEANS, 5, math.nan)),
     "c-spread-nan-c": ("c", lambda env: check_c_spread(MEANS, math.nan)),
+    "config-no-algorithms": ("algorithms", lambda env: _config(algorithms=())),
+    "config-repeated-algorithm": ("algorithms", lambda env: _config(algorithms=("uniform", "uniform"))),
 }
 
 

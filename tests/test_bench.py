@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -141,3 +143,11 @@ def test_all_registered_algorithms_run():
             cfg = small_config(algorithms=(name,), trials=2, budgets=(200,))
         report = run_experiment(cfg)
         assert len(report.rows) == 1
+
+
+def test_every_registered_algorithm_is_worker_independent():
+    # Each registry entry crosses the process pool, so it must stay a
+    # module-level function: a lambda cannot be pickled.
+    for name in ALGORITHMS:
+        cfg = small_config(algorithms=(name,), n=10, k=3, budgets=(60, 200), trials=3)
+        assert run_experiment(replace(cfg, workers=2)).to_csv() == run_experiment(cfg).to_csv(), name

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -130,10 +132,13 @@ def test_pull_many_matches_counters():
     ([0, 1], 2.9),
     ([0, 1], 2.0),
     ([0, 1], "2"),
+    ([0, 1], None),
+    ([0, 1], "x"),
     ([1], 3.5),                      # a one-arm batch takes the same checks
     ([1.7], 3),
 ], ids=["bool-mask", "float-ids", "object-ids", "2-d-ids", "scalar-id",
-        "float-m", "integral-float-m", "str-m", "batch-float-m", "batch-float-arm"])
+        "float-m", "integral-float-m", "str-m", "none-m", "non-numeric-str-m",
+        "batch-float-m", "batch-float-arm"])
 def test_rejects_non_integer_pull_requests(view, request_):
     arms, m = request_
     env, fresh = make_env([0.2, 0.5, 0.8], seed=5), make_env([0.2, 0.5, 0.8], seed=5)
@@ -238,6 +243,24 @@ def test_complement_distribution():
     expected = stats.binom.pmf(np.arange(m + 1), m, 1 - theta) * n_seeds
     _, p = stats.chisquare(counts, expected)
     assert p > 0.001
+
+
+@pytest.mark.parametrize("view", [ComplementEnvironment, PullTrace,
+                                  lambda env: _CapWatchdog(env, 0, 10**9)],
+                         ids=["complement", "trace", "watchdog"])
+def test_view_forwards_what_it_does_not_define(view):
+    env = make_env([0.2, 0.5, 0.8], seed=5)
+    v = view(env)
+    assert v.n == 3
+    assert v.pull_counts is env.pull_counts
+    v.pull_many([0, 2], 4)
+    assert v.total_pulls() == env.total_pulls() == 8
+    # A copy is built before its wrapped environment is set; it must still
+    # pull through the same environment.
+    c = copy.copy(v)
+    c.pull_many([1], 3)
+    assert c.pull_counts is env.pull_counts
+    assert env.pull_counts.tolist() == [4, 3, 4]
 
 
 def test_spawn_rng_is_deterministic_and_fresh():

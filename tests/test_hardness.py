@@ -166,8 +166,8 @@ class TestAggregateRegret:
     @pytest.mark.parametrize("selected", [[0, -1], [-1, 0], np.array([3, -2**62]), [0, 4]],
                              ids=["negative-last", "negative-first", "large-negative", "past-the-end"])
     def test_rank_out_of_range_rejected(self, selected):
-        # One unsigned sort checks the range: a negative rank wraps above n.
-        with pytest.raises(ValueError, match="selected rank out of range"):
+        # One unsigned sort checks the range: a negative id wraps above n.
+        with pytest.raises(ValueError, match="selected id out of range"):
             aggregate_regret(M4, 2, selected)
 
     @pytest.mark.parametrize("selected", [np.array([0.7, 1.9]), [0.0, 1.0], np.array([True, False])],
