@@ -122,6 +122,7 @@ class ExperimentConfig:
         object.__setattr__(self, "base_seed", _integer("base_seed", self.base_seed, 0))
         _positive("epsilon", self.epsilon)
         _open("delta", self.delta)
+        _positive("p", self.p)
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
         if not self.algorithms or len(set(self.algorithms)) < len(self.algorithms):
             raise ValueError(f"algorithms must be distinct names, at least one, got {self.algorithms!r}")

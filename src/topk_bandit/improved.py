@@ -13,11 +13,15 @@ Subroutines:
     the allocation-optimal method it stands in for, at the cost of an extra
     log-factor in pulls; it is a stand-in, not a reimplementation.
 
-``improved_topk`` combines these: it repeatedly estimates the boundary and
-mid-head/mid-tail means, shrinks the precision until either the remaining
-uncertainty fits the regret budget (finish with ``opt_mai``), a wide boundary
-gap appears (finish with ``eps_split``), or the set can safely shed a tenth
-from its tail (and, when accepted arms must dominate, its head).
+``improved_topk`` combines these.  It probes the undecided arms at
+precision phi = 2^-r_phi, halving phi until a rule fires.  Once the remaining
+uncertainty fits the regret budget it finishes with ``opt_mai``; otherwise it
+estimates the means at the top-K boundary and mid-head/mid-tail, and reads
+three gaps: ``wide_gap`` (across the boundary) licenses ``eps_split``, which
+finishes the run; ``tail_gap`` (boundary over mid-tail) licenses ``elim``,
+which sheds a tenth from the tail; ``head_gap`` (mid-head over boundary)
+licenses ``reverse_elim``, which also commits a tenth from the head when more
+than half the set must be taken.
 """
 
 from __future__ import annotations
@@ -247,66 +251,57 @@ def improved_topk(env, K: int, epsilon: float, delta: float) -> SelectionResult:
     # undecided arms, is read in ascending id order, the order of its pulls.
     state = np.full(n, _UNDECIDED, dtype=np.int8)
     S = np.arange(n)
-    chosen = np.empty(0, dtype=np.intp)  # the finishing subroutine's picks from S
     k_rem = K
-    r = 1
-    r_phi = 1
+    r = r_phi = 1
     K_L = (1.0 - epsilon * epsilon) * K
     K_R = (1.0 + epsilon * epsilon) * K + 1.0
 
-    while len(S):
-        r_phi -= 1
-        while True:
-            r_phi += 1
-            phi = 2.0 ** (-r_phi)
-            tau = epsilon * epsilon / (100.0 * r * r)
-            d_sub = delta / (100.0 * (r + r_phi) ** 2)
-            cond1 = 10.0 * k_rem * phi < K * epsilon
-            if cond1:
-                # No estimates needed; the uncertainty already fits the budget.
-                break
-            kp_hi = _clamp(_round_half_up(K_R - (K - k_rem)), 1, len(S))
-            kp_lo = _clamp(_round_half_up(K_L - (K - k_rem)), 1, len(S))
-            kp_mid_tail = _clamp(_round_half_up((len(S) + k_rem) / 2.0), 1, len(S))
-            kp_mid_head = _clamp(_round_half_up(k_rem / 2.0), 1, len(S))
-            _, theta_K_plus = est_kth_arm(env, S, kp_hi, tau, phi, d_sub, rng=rng)
-            _, theta_K_minus = est_kth_arm(env, S, kp_lo, tau, phi, d_sub, rng=rng)
-            _, theta_plus = est_kth_arm(env, S, kp_mid_tail, tau, phi, d_sub, rng=rng)
-            _, theta_minus = est_kth_arm(env, S, kp_mid_head, tau, phi, d_sub, rng=rng)
-            cond2 = theta_K_minus - theta_K_plus > 3.0 * phi
-            head_sep = theta_K_plus - theta_plus > 3.0 * phi
-            tail_sep = theta_minus - theta_K_minus > 3.0 * phi
-            cond3 = (k_rem <= len(S) / 2.0) and head_sep
-            cond4 = (k_rem > len(S) / 2.0) and head_sep and tail_sep
-            if cond2 or cond3 or cond4:
-                break
+    def finish(chosen):
+        A = np.flatnonzero(state == _ACCEPTED)
+        return run.result(np.concatenate([chosen, A]), r, A, np.flatnonzero(state == _REJECTED))
 
-        if cond1:
-            chosen = opt_mai(env, S, k_rem, phi, delta / 100.0)
-            break
-        if cond2:
+    # Each round leaves at least k_rem >= 1 undecided arms, so S never empties.
+    while True:
+        phi = 2.0 ** (-r_phi)
+        if 10.0 * k_rem * phi < K * epsilon:
+            # No estimates needed; the uncertainty already fits the budget.
+            return finish(opt_mai(env, S, k_rem, phi, delta / 100.0))
+        tau = epsilon * epsilon / (100.0 * r * r)
+        d_sub = delta / (100.0 * (r + r_phi) ** 2)
+        kp_hi = _clamp(_round_half_up(K_R - (K - k_rem)), 1, len(S))
+        kp_lo = _clamp(_round_half_up(K_L - (K - k_rem)), 1, len(S))
+        kp_mid_tail = _clamp(_round_half_up((len(S) + k_rem) / 2.0), 1, len(S))
+        kp_mid_head = _clamp(_round_half_up(k_rem / 2.0), 1, len(S))
+        _, theta_K_plus = est_kth_arm(env, S, kp_hi, tau, phi, d_sub, rng=rng)
+        _, theta_K_minus = est_kth_arm(env, S, kp_lo, tau, phi, d_sub, rng=rng)
+        _, theta_plus = est_kth_arm(env, S, kp_mid_tail, tau, phi, d_sub, rng=rng)
+        _, theta_minus = est_kth_arm(env, S, kp_mid_head, tau, phi, d_sub, rng=rng)
+        # Each gap, shown at 3 phi, gives the precondition (a true gap of at
+        # least phi) of the subroutine it licenses: eps_split across the
+        # boundary, elim below it, reverse_elim above it.
+        wide_gap = theta_K_minus - theta_K_plus > 3.0 * phi
+        tail_gap = theta_K_plus - theta_plus > 3.0 * phi
+        head_gap = theta_minus - theta_K_minus > 3.0 * phi
+        if not (wide_gap or tail_gap and (k_rem <= len(S) / 2.0 or head_gap)):
+            r_phi += 1  # no rule fires: probe again at twice the precision
+            continue
+        if wide_gap:
             tau_split = (K_R - K_L) / k_rem
             if tau_split < 1.0 and _round_half_up((1.0 - tau_split) * k_rem) >= 1:
-                chosen = eps_split(env, S, k_rem, tau_split, phi, delta / 100.0)
-                break
-        if cond2 or len(S) - math.ceil(len(S) / 10) < k_rem:
+                return finish(eps_split(env, S, k_rem, tau_split, phi, delta / 100.0))
+        if wide_gap or len(S) - math.ceil(len(S) / 10) < k_rem:
             # The split ratio collapses on small sets, or shedding a tenth
             # would cut into arms we must return: a direct PAC selection at
             # the budget's share of the tolerance is safe.
-            chosen = opt_mai(env, S, k_rem, K * epsilon / (10.0 * k_rem), delta / 100.0)
-            break
+            return finish(opt_mai(env, S, k_rem, K * epsilon / (10.0 * k_rem), delta / 100.0))
         gamma = epsilon * epsilon / (100.0 * r * r)
         d_round = delta / (100.0 * r * r)
         U = elim(env, S, k_rem, gamma, phi, d_round)
         state[U] = _REJECTED
         if k_rem > len(S) / 2.0:
-            V = reverse_elim(env, S, k_rem, gamma, phi, d_round)
             # Separate samples can put an arm in both; its rejection stands.
-            V = np.setdiff1d(V, U)
+            V = np.setdiff1d(reverse_elim(env, S, k_rem, gamma, phi, d_round), U)
             state[V] = _ACCEPTED
             k_rem -= len(V)
         r += 1
         S = np.flatnonzero(state == _UNDECIDED)
-
-    A = np.flatnonzero(state == _ACCEPTED)
-    return run.result(np.concatenate([chosen, A]), r, A, np.flatnonzero(state == _REJECTED))

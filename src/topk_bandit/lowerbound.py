@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .env import ArmEnvironment, EnvironmentView, Instance, _integer, _open
+from .env import ArmEnvironment, EnvironmentView, Instance, _arm_ids, _integer, _open
 
 __all__ = [
     "Hidden",
@@ -173,10 +173,14 @@ class _CapWatchdog(EnvironmentView):
         self._cap = int(cap)
 
     def pull_many(self, arms, m: int):
-        arms = np.asarray(arms)  # no cast: the wrapped environment checks the ids
+        # A malformed request is refused as the environment refuses it, not
+        # turned into a give-up by the cap test.
+        arms, m = _arm_ids(arms), _integer("m", m, 1)
+        if arms.size and arms.view(np.uintp).max() >= self._inner.n:
+            raise IndexError("arm index out of range")
         # An arm listed twice is pulled twice as often.
         hits = np.count_nonzero(arms == self._arm)
-        if hits and self._inner.pull_counts[self._arm] + hits * _integer("m", m, 1) > self._cap:
+        if hits and self._inner.pull_counts[self._arm] + hits * m > self._cap:
             raise _GiveUp
         return self._inner.pull_many(arms, m)
 

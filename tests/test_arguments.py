@@ -78,6 +78,8 @@ CASES = {
     "c-spread-nan-c": ("c", lambda env: check_c_spread(MEANS, math.nan)),
     "config-no-algorithms": ("algorithms", lambda env: _config(algorithms=())),
     "config-repeated-algorithm": ("algorithms", lambda env: _config(algorithms=("uniform", "uniform"))),
+    "config-nan-p": ("p", lambda env: _config(p=math.nan)),
+    "config-zero-p": ("p", lambda env: _config(p=0.0)),
 }
 
 

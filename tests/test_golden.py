@@ -14,13 +14,14 @@ import numpy as np
 import pytest
 
 from conftest import shuffled_trial
+from topk_bandit import improved
 from topk_bandit.adaptive import adaptive_topk, adaptive_topk_fixed_budget
 from topk_bandit.baselines import cb_accept_reject_topk, uniform_topk
-from topk_bandit.bench import ALGORITHMS, ExperimentConfig, run_experiment
+from topk_bandit.bench import ALGORITHMS, ExperimentConfig, run_experiment, setup_trial
 from topk_bandit.cli import main
 from topk_bandit.env import ArmEnvironment, Instance, PullTrace
 from topk_bandit.improved import eps_split, est_kth_arm, improved_topk, opt_mai
-from topk_bandit.instances import gen_two_group
+from topk_bandit.instances import gen_two_group, gen_uniform
 from topk_bandit.lowerbound import reduction_run
 
 N, K, EPS, DELTA = 40, 8, 0.05, 0.1
@@ -58,6 +59,16 @@ def _reductions():
     answers = [reduction_run(selector, 40, 20, 0.1, 0.2, C=160_000_000, seed=seed) for seed in (0, 2)]
     answers.append(reduction_run(selector, 40, 20, 0.1, 0.2, C=1_000, seed=1))
     return [answers, results]
+
+
+def _improved_eps_split():
+    env, _, _ = setup_trial(gen_uniform(30), 6, EPS, DELTA, 0, 0)
+    return _parts(improved_topk(env, 6, EPS, DELTA))
+
+
+def _improved_collapsed_split():
+    # One open slot: the split ratio collapses, so opt_mai finishes the run.
+    return _parts(improved_topk(_env(3, np.array([0.1, 0.9, 0.1, 0.1, 0.1, 0.1]), 1), 1, 0.5, DELTA))
 
 
 def _criterion_12_csv():
@@ -104,6 +115,8 @@ CASES = {
                                     env.pull_counts.tolist()])(_env(7)),
     # Paths that only some inputs reach.
     "improved-complement": lambda: _parts(improved_topk(_env(9, k=30), 30, 0.2, DELTA)),
+    "improved-eps-split": _improved_eps_split,
+    "improved-collapsed-split": _improved_collapsed_split,
     "fixed-budget-below-n": lambda: _parts(adaptive_topk_fixed_budget(_env(10), K, N - 7, delta=DELTA)),
     "fixed-budget-remainder": lambda: _parts(adaptive_topk_fixed_budget(_env(11), K, 5_003, delta=DELTA)),
     "record-rounds": lambda: _traced_rounds(lambda env: adaptive_topk(env, K, EPS, DELTA), 12),
@@ -137,6 +150,8 @@ EXPECTED = {
     "fixed-budget-remainder": "7640e66ca8a2260e68e5a7c0b5aaf78c76e6531b288b4897fc6ebdc3850d71f5",
     "improved": "b75d29425bd992575f902496c29fee4cb9fe66e0b127171301aa3e22e5b7d76b",
     "improved-complement": "4009c923e1278e6d189e1fe3705cd9681038f1523ff2a930ee20f215465fb71f",
+    "improved-collapsed-split": "07ed4f2cb3444ca399de9b889dcb903a02566bec3a398e7b29983d5ec6e06839",
+    "improved-eps-split": "4a54b4ac5d4966bc1cd2643d2c6e6b0e5cc93336a5428b6440f37fe8c8e96833",
     "optmai": "03f0c9aef10a49d8c2bf6b48f8d419dc2c83f28fac92a74c2819f4177af33755",
     "record-rounds": "4ad0de19fdd5fbe1df49fdd54de7bf6ffc493edd12a8c073f47fd44cca4497a0",
     "record-rounds-fixed-budget": "fdb5624500f5ac4d2f7fa949278d64947632faeecf4019c6e4b6b7da5f994e9c",
@@ -159,6 +174,25 @@ def test_every_registered_algorithm_has_a_case():
 def test_remainder_case_spends_the_whole_budget():
     res = adaptive_topk_fixed_budget(_env(11), K, 5_003, delta=DELTA)
     assert res.total_pulls == 5_003 and res.rounds_completed >= 1
+
+
+@pytest.mark.parametrize("case, last", [(_improved_eps_split, "eps_split"),
+                                        (_improved_collapsed_split, "opt_mai"),
+                                        (CASES["improved"], "opt_mai")],
+                         ids=["eps-split", "collapsed-split", "improved"])
+def test_improved_case_ends_in_its_exit(case, last, monkeypatch):
+    calls = []
+
+    def spy(name, fn):
+        def call(*args):
+            calls.append(name)
+            return fn(*args)
+        return call
+
+    for name in ("eps_split", "elim", "opt_mai"):
+        monkeypatch.setattr(improved, name, spy(name, getattr(improved, name)))
+    case()
+    assert calls[-1] == last and calls.count(last) == 1
 
 
 def test_reduction_case_covers_every_answer():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -187,3 +188,16 @@ def test_watchdog_charges_an_arm_listed_twice_for_every_listing():
     assert env.pull_counts.tolist() == [0, 0, 0, 0]
     watched.pull_many([1, 0, 1], 5)  # exactly at the cap
     assert env.pull_counts.tolist() == [5, 10, 0, 0]
+
+
+@pytest.mark.parametrize("arms", [[True, False], np.array([0.0, 1.0]), [0, -4], [0, 4], [[0]]],
+                         ids=["mask", "float-ids", "negative-id", "past-the-end-id", "2-d"])
+def test_watchdog_refuses_a_malformed_request_as_the_environment_does(arms):
+    # Each request names the watched arm, and the cap is 0, so a cap test
+    # made before the request is checked would give up instead of refusing.
+    env = ArmEnvironment(Instance(np.full(4, 0.5), 2, 0.1, 0.1), seed=0)
+    with pytest.raises((ValueError, IndexError)) as bare:
+        env.pull_many(arms, 1)
+    with pytest.raises(bare.type, match=f"^{re.escape(str(bare.value))}$"):
+        _CapWatchdog(env, 0, 0).pull_many(arms, 1)
+    assert env.total_pulls() == 0
