@@ -44,7 +44,13 @@ def cb_accept_reject_topk(env, K: int, budget: int) -> SelectionResult:
     that arm's pull count each visit.  An arm is accepted once its lower
     bound clears every remaining competitor's upper bound, rejected in the
     mirror case, and the selection is topped up by empirical means when the
-    budget runs out.
+    budget runs out.  The radius sqrt(ln(_CB_C * n * T^2) / (2 m)) counts in
+    T this run's pulls, not the environment's lifetime total.
+
+    The undecided arms ``u`` stay in id order, so ties go to the lower id.
+    ``means``, ``neg`` (the negated means) and ``twoc`` (twice the pull
+    counts) are aligned with ``u``: a pull rewrites the pulled arm's three
+    entries, and a decision step deletes the decided positions from all four.
     """
     run = SelectionRun(env, K)
     _integer("budget", budget, env.n)  # one pull per arm at least
@@ -53,8 +59,12 @@ def cb_accept_reject_topk(env, K: int, budget: int) -> SelectionResult:
 
     n = env.n
     u = np.arange(n)  # undecided arms, in id order
-    counts = np.ones(n, dtype=np.int64)  # per-arm pulls and reward sums
-    sums = env.pull_many(u, 1).astype(np.float64)
+    first = env.pull_many(u, 1)
+    sums = first.tolist()  # per-arm reward sums and pull counts, by id
+    counts = [1] * n
+    means = first.astype(np.float64)
+    neg = -means
+    twoc = np.full(n, 2.0)
     remaining = budget - n
 
     accepted: list = [np.empty(0, dtype=np.intp)]  # one id array per decision step
@@ -62,37 +72,42 @@ def cb_accept_reject_topk(env, K: int, budget: int) -> SelectionResult:
     k_rem = K
 
     while remaining > 0 and k_rem and len(u) > k_rem:
-        means = sums[u] / counts[u]
-        T = max(budget - remaining, 2)  # this run's pulls, not the environment's lifetime
-        radius = np.sqrt(np.log(_CB_C * n * T * T) / (2.0 * counts[u]))
+        T = max(budget - remaining, 2)  # this run's pulls
+        radius = np.sqrt(np.log(_CB_C * n * T * T) / twoc)
+        order = neg.argsort(kind="stable")
 
-        order = np.argsort(-means, kind="stable")
-        boundary = 0.5 * (means[order[k_rem - 1]] + means[order[k_rem]])
-
-        # Decide whatever has already separated from the boundary set.
-        head = order[:k_rem]
-        tail = order[k_rem:]
-        lcb = means - radius
-        ucb = means + radius
-        take = head[lcb[head] > ucb[tail].max()]
-        drop = tail[ucb[tail] < lcb[head].min()]
-        if len(take) or len(drop):
+        # Decide whatever has already separated from the boundary set: the
+        # head is the k_rem best means, the tail the rest.
+        ms = means[order]
+        rs = radius[order]
+        lcb = ms[:k_rem] - rs[:k_rem]
+        ucb = ms[k_rem:] + rs[k_rem:]
+        lcb_lo = np.minimum.reduce(lcb)
+        ucb_hi = np.maximum.reduce(ucb)
+        if np.maximum.reduce(lcb) > ucb_hi or np.minimum.reduce(ucb) < lcb_lo:
+            take = order[:k_rem][lcb > ucb_hi]
+            drop = order[k_rem:][ucb < lcb_lo]
             accepted.append(u[take])
             rejected.append(u[drop])
             k_rem -= len(take)
-            u = np.delete(u, np.concatenate([take, drop]))
+            gone = np.concatenate([take, drop])
+            u, means, neg, twoc = (np.delete(a, gone) for a in (u, means, neg, twoc))
             continue
 
-        margins = np.abs(means - boundary) - radius
-        i = int(np.argmin(margins))
-        x = int(u[i])
-        chunk = int(min(counts[x], remaining))
+        boundary = 0.5 * (ms[k_rem - 1] + ms[k_rem])
+        margins = means - boundary
+        np.abs(margins, out=margins)
+        margins -= radius
+        i = margins.argmin()
+        x = u[i].item()
+        chunk = min(counts[x], remaining)
         counts[x] += chunk
-        sums[x] += env.pull_many(u[i:i + 1], chunk)[0]
+        sums[x] += env.pull_many(u[i:i + 1], chunk)[0].item()
+        mean = sums[x] / counts[x]
+        means[i], neg[i], twoc[i] = mean, -mean, 2.0 * counts[x]
         remaining -= chunk
 
     accepted = np.concatenate(accepted)
     # Top up the open slots (none once k_rem is 0) by empirical means.
-    order = np.argsort(-(sums[u] / counts[u]), kind="stable")
-    final = np.concatenate([accepted, u[order[:k_rem]]])
+    final = np.concatenate([accepted, u[neg.argsort(kind="stable")[:k_rem]]])
     return run.result(final, 1, accepted, np.concatenate(rejected))

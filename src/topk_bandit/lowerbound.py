@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .env import ArmEnvironment, EnvironmentView, Instance, _arm_ids, _integer, _open
 
@@ -116,8 +115,11 @@ def make_hard_instance(n: int, eta: float, seed: int, hidden: Hidden = None) -> 
 
 
 def _binomial_logpmf(m: int, p: float) -> np.ndarray:
+    from scipy.special import gammaln  # scipy loads on the first coin call, not on import
+
     k = np.arange(m + 1, dtype=np.float64)
-    return (gammaln(m + 1) - gammaln(k + 1) - gammaln(m - k + 1)
+    g = gammaln(k + 1)  # reversed, it is gammaln(m - k + 1): the same integers
+    return (gammaln(m + 1) - g - g[::-1]
             + k * math.log(p) + (m - k) * math.log1p(-p))
 
 
@@ -144,6 +146,8 @@ def optimal_coin_log_error(m: int, eta: float) -> float:
     here as an exact log-space binomial tail (returns -inf when the tail is
     empty).
     """
+    from scipy.special import logsumexp
+
     _integer("m", m, 1)
     _open("eta", eta, 0.5)
     t, logpmf = _coin_threshold(m, eta)

@@ -4,8 +4,9 @@ against the per-element loop or the float form it replaced.
 The reference functions below are the earlier implementations, kept
 verbatim apart from names and docstrings (local arrays in place of the
 package's former tally class, the local ``_Pool`` in place of its former
-sorted pool, and ``ref_halving`` under ``ref_est_kth_arm``); they live here
-and nowhere in the package.
+sorted pool, ``ref_halving`` under ``ref_est_kth_arm``, and the optional
+log of decision steps in ``ref_cb_accept_reject_topk``); they live here and
+nowhere in the package.
 Every comparison is exact: the fast paths do the same float operations, so
 they must agree bit for bit, not within a tolerance.  The one exception is
 the coin threshold search, which sums in another order than its scan; it
@@ -17,6 +18,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from topk_bandit.adaptive import (
     SelectionResult, SelectionRun, _commit_sweep, _order_by_sums, _round_loop, _round_pulls,
@@ -95,7 +97,7 @@ def ref_round_loop(env, K: int, delta: float, tuned: bool, more):
     return accepted, rejected, survivors, k_rem, r
 
 
-def ref_cb_accept_reject_topk(env, K: int, budget: int) -> SelectionResult:
+def ref_cb_accept_reject_topk(env, K: int, budget: int, steps: list = None) -> SelectionResult:
     run = SelectionRun(env, K)
     _integer("budget", budget, env.n)
     if run.trivial():
@@ -133,6 +135,8 @@ def ref_cb_accept_reject_topk(env, K: int, budget: int) -> SelectionResult:
         new_accept = [int(u[i]) for i in head if lcb[i] > ucb[tail].max()]
         new_reject = [int(u[i]) for i in tail if ucb[i] < lcb[head].min()]
         if new_accept or new_reject:
+            if steps is not None:
+                steps.append((len(new_accept), len(new_reject)))
             accepted.update(new_accept)
             rejected.update(new_reject)
             done = set(new_accept) | set(new_reject)
@@ -201,6 +205,12 @@ def ref_adaptive_topk_fixed_budget(env, K: int, budget: int, delta: float = 0.01
             add_many(survivors[:extra], 1, env.pull_many(survivors[:extra], 1))
         survivors = survivors[np.argsort(-means()[survivors], kind="stable")]
     return run.result(np.concatenate([accepted, survivors[:k_rem]]), r, accepted, rejected)
+
+
+def ref_binomial_logpmf(m: int, p: float) -> np.ndarray:
+    k = np.arange(m + 1, dtype=np.float64)
+    return (gammaln(m + 1) - gammaln(k + 1) - gammaln(m - k + 1)
+            + k * math.log(p) + (m - k) * math.log1p(-p))
 
 
 def ref_coin_threshold(m: int, eta: float):
@@ -546,20 +556,59 @@ CB_CASES = [
     (gen_two_group(200, 20), 20, 1250, 6),                            # no arm decided
     (np.full(30, 0.5), 5, 3000, 7),                                   # every mean tied
     (gen_two_group(50, 10), 10, 50, 8),                               # budget == n
+    # Tied means straddle the head/tail cut on deciding steps, so the
+    # rejected set depends on the sort keeping ties in id order.
+    (np.round(np.random.default_rng(1).random(60), 1), 2, 15_000, 1),
 ]
 
 
-@pytest.mark.parametrize("means, K, budget, seed", CB_CASES)
-def test_cb_accept_reject_matches_loop(means, K, budget, seed):
-    fast_env, slow_env = _env(means, K, seed), _env(means, K, seed)
+def _check_cb(means, K, budget, seed, steps=None):
+    """Run both loops on twin environments, require the same outcome and
+    the same next draw, and return the fast loop's pull requests."""
+    fast_env, slow_env = PullTrace(_env(means, K, seed)), _env(means, K, seed)
     fast = cb_accept_reject_topk(fast_env, K, budget)
-    slow = ref_cb_accept_reject_topk(slow_env, K, budget)
+    slow = ref_cb_accept_reject_topk(slow_env, K, budget, steps)
     assert fast.selected.tolist() == slow.selected.tolist()
     assert fast.accepted_early.tolist() == slow.accepted_early.tolist()
     assert fast.rejected.tolist() == slow.rejected.tolist()
     assert np.array_equal(fast.per_arm_pulls, slow.per_arm_pulls)
     assert (fast.total_pulls, fast.rounds_completed) == (slow.total_pulls, slow.rounds_completed)
     assert all(ids.dtype == np.intp for ids in (fast.selected, fast.accepted_early, fast.rejected))
+    events = list(fast_env.events)
+    _same_env_state(fast_env, slow_env)
+    return events
+
+
+@pytest.mark.parametrize("means, K, budget, seed", CB_CASES)
+def test_cb_accept_reject_matches_loop(means, K, budget, seed):
+    _check_cb(means, K, budget, seed)
+
+
+def test_cb_accept_reject_matches_loop_on_shuffled_arms():
+    # The step-loops benchmark shape: no arm separates within the budget, so
+    # every step pulls.  Ties in the argsort and the argmin go to the lower
+    # position, and each shuffle moves them to other arms.
+    means = gen_two_group(200, 20)
+    for seed in range(30):
+        _check_cb(means[np.random.default_rng(seed).permutation(200)], 20, 1250, seed)
+
+
+def test_cb_cases_reach_a_mixed_step_and_a_capped_last_chunk():
+    # A decision step that both accepts and rejects, and a last pull cut to
+    # the budget left (fewer pulls than the arm already had): CB_CASES reach
+    # both, so no case is added for them.
+    mixed, capped = [], []
+    for idx, (means, K, budget, seed) in enumerate(CB_CASES):
+        steps = []
+        events = _check_cb(means, K, budget, seed, steps)
+        if any(acc and rej for acc, rej in steps):
+            mixed.append(idx)
+        arms, m, _ = events[-1]
+        before = sum(pulls for ids, pulls, _ in events[:-1] if arms[0] in ids)
+        if len(arms) == 1 and m < before:
+            capped.append(idx)
+    assert mixed == [0, 1, 2]
+    assert capped == [3, 4, 5, 6, 8]
 
 
 # --- adaptive_topk_fixed_budget --------------------------------------------
@@ -794,6 +843,12 @@ def _coin_cases():
     rng = np.random.default_rng(18)
     for _ in range(300):
         yield int(rng.integers(1, 5_000)), float(rng.uniform(1e-4, 0.4999))
+
+
+def test_binomial_logpmf_matches_three_gammaln_calls():
+    for m in (1, 2, 1000, 10**5):
+        for p in (0.4, 0.5 - 1e-4):
+            assert np.array_equal(_binomial_logpmf(m, p), ref_binomial_logpmf(m, p)), (m, p)
 
 
 def test_coin_threshold_matches_scan():

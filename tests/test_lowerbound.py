@@ -1,10 +1,14 @@
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.special import gammaln
 
+import topk_bandit
 from topk_bandit.adaptive import SelectionResult, adaptive_topk
 from topk_bandit.env import ArmEnvironment, Instance
 from topk_bandit.hardness import hardness
@@ -201,3 +205,17 @@ def test_watchdog_refuses_a_malformed_request_as_the_environment_does(arms):
     with pytest.raises(bare.type, match=f"^{re.escape(str(bare.value))}$"):
         _CapWatchdog(env, 0, 0).pull_many(arms, 1)
     assert env.total_pulls() == 0
+
+
+@pytest.mark.parametrize("module", ["topk_bandit", "topk_bandit.cli"])
+def test_import_leaves_scipy_to_the_first_coin_call(module):
+    # scipy.special is most of the package's import time; only the coin
+    # functions use it, and they import it when first called.
+    src = os.path.dirname(os.path.dirname(topk_bandit.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (f"import sys, {module}, topk_bandit; print('scipy' in sys.modules); "
+            "topk_bandit.optimal_coin_log_error(10, 0.1); print('scipy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False", "True"]
