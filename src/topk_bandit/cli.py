@@ -143,7 +143,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--json-out", default=None, help="optional JSON mirror path")
     p.add_argument("--workers", type=int, default=1)
 
-    p = sub.add_parser("lowerbound", help="exact coin-distinguishing error CSV")
+    p = sub.add_parser("lowerbound", help="optimal coin-distinguishing error CSV")
     p.add_argument("--eta", type=float, default=0.1)
     p.add_argument("--m", default="100,200,400,800,1600",
                    help="comma-separated toss counts")

@@ -60,6 +60,10 @@ def _vector(means) -> np.ndarray:
     means = np.asarray(means, dtype=np.float64)
     if means.ndim != 1 or means.size == 0:
         raise ValueError("means must be a non-empty 1-D vector")
+    # A NaN passes every order test and the regret clamp; an infinity
+    # turns the gaps and sums into NaN.
+    if not np.isfinite(means).all():
+        raise ValueError("means must be finite")
     return means
 
 

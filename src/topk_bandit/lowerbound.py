@@ -1,10 +1,17 @@
-"""Coin-distinguishing machinery: hard instances, the reduction, exact errors.
+"""Coin-distinguishing machinery: hard instances, the reduction, optimal errors.
 
 A biased coin shows heads with probability 0.5 + eta or 0.5 - eta; the task
 is to name the bias, with the escape hatch of answering "unknown" at most 90%
 of the time.  ``optimal_coin_error`` evaluates the error of the best possible
-symmetric threshold strategy exactly, in log space, so its exponential decay
-in the toss count is measurable without approximation.
+symmetric threshold strategy in log space, so its exponential decay in the
+toss count stays measurable far below float underflow.  What is exact is the
+model: the optimal strategy and the binomial law of the toss count, with no
+normal or Chernoff approximation.  The arithmetic is floating point: the log
+binomial coefficients are running sums of about m/2 terms, so the log-pmf
+and the log error carry a rounding error that grows like m^2 times the unit
+roundoff in the worst case.  At m = 10^5 and eta = 0.1 the log-pmf is
+within 1.4e-9 of 40-digit values and the log error (about -8277) within
+3e-10.
 
 ``make_hard_instance`` embeds one such coin in a bandit with n/2 high arms
 and n/2 low arms separated by 2 * eta; ``reduction_run`` drives any top-K
@@ -49,7 +56,11 @@ class Hidden(enum.Enum):
 
 @dataclass(frozen=True)
 class CoinTossingInstance:
-    """A coin of bias 0.5 + eta or 0.5 - eta, tossed through a seeded stream."""
+    """A coin of bias 0.5 + eta or 0.5 - eta.
+
+    Nothing here tosses it: the hard bandit embeds it as one arm.  ``seed``
+    records the seed of the hard instance that drew it.
+    """
 
     eta: float
     hidden_value: Hidden
@@ -114,13 +125,21 @@ def make_hard_instance(n: int, eta: float, seed: int, hidden: Hidden = None) -> 
                               special_index=special, coin=coin)
 
 
-def _binomial_logpmf(m: int, p: float) -> np.ndarray:
-    from scipy.special import gammaln  # scipy loads on the first coin call, not on import
+def _log_choose(m: int) -> np.ndarray:
+    """log C(m, k) for k = 0, ..., m.
 
+    For k <= m/2 it is the running sum of log((m - j + 1) / j), j = 1..k,
+    each term >= 0; the upper half mirrors it, so C(m, k) = C(m, m - k) holds
+    bit for bit.
+    """
+    j = np.arange(1, m // 2 + 1, dtype=np.float64)
+    head = np.concatenate(([0.0], np.cumsum(np.log((m - j + 1) / j))))
+    return np.concatenate((head, head[m - m // 2 - 1 :: -1]))
+
+
+def _binomial_logpmf(m: int, p: float) -> np.ndarray:
     k = np.arange(m + 1, dtype=np.float64)
-    g = gammaln(k + 1)  # reversed, it is gammaln(m - k + 1): the same integers
-    return (gammaln(m + 1) - g - g[::-1]
-            + k * math.log(p) + (m - k) * math.log1p(-p))
+    return _log_choose(m) + k * math.log(p) + (m - k) * math.log1p(-p)
 
 
 def _coin_threshold(m: int, eta: float):
@@ -143,23 +162,23 @@ def optimal_coin_log_error(m: int, eta: float) -> float:
     The optimal strategy answers "unknown" inside the widest symmetric window
     whose mass stays within the give-up cap and names the bias by side
     otherwise; its error is the far-tail mass beyond the window, computed
-    here as an exact log-space binomial tail (returns -inf when the tail is
-    empty).
+    here as a log-sum-exp of the binomial log-pmf over that tail (returns
+    -inf when the tail is empty).
     """
-    from scipy.special import logsumexp
-
     _integer("m", m, 1)
     _open("eta", eta, 0.5)
     t, logpmf = _coin_threshold(m, eta)
     hi = math.floor(0.5 * m + t)
     if hi + 1 > m:
         return float("-inf")
-    return float(logsumexp(logpmf[hi + 1 :]))
+    tail = logpmf[hi + 1 :]
+    top = float(tail.max())
+    return top + math.log(np.exp(tail - top).sum())
 
 
 def optimal_coin_error(m: int, eta: float) -> float:
-    """Exact error probability of the optimal strategy (may underflow to 0.0
-    for very large m; use :func:`optimal_coin_log_error` for the decay law).
+    """Error probability of the optimal strategy (may underflow to 0.0 for
+    very large m; use :func:`optimal_coin_log_error` for the decay law).
     """
     return float(math.exp(min(optimal_coin_log_error(m, eta), 0.0)))
 

@@ -1,5 +1,5 @@
-"""Every public entry refuses a bad count or probability with a ValueError
-that names the argument, before any pull is made."""
+"""Every public entry refuses a bad count, probability or mean vector with a
+ValueError that names the argument, before any pull is made."""
 
 import math
 
@@ -17,11 +17,13 @@ from topk_bandit import (
     check_c_spread,
     elim,
     eps_split,
+    gaps,
     gen_synthetic_p,
     gen_two_group,
     gen_uniform,
     hardness,
     improved_topk,
+    is_eps_top_k,
     make_hard_instance,
     opt_mai,
     optimal_coin_log_error,
@@ -32,6 +34,10 @@ from topk_bandit import (
 )
 
 MEANS = np.linspace(0.9, 0.1, 10)
+# Mean vectors with one non-finite entry, the others sorted non-increasing.
+NAN_MEANS = [0.9, math.nan, 0.1]
+INF_MEANS = [math.inf, 0.5, 0.1]
+NEG_INF_MEANS = [0.9, 0.5, -math.inf]
 
 
 def _config(**kwargs):
@@ -80,6 +86,16 @@ CASES = {
     "config-repeated-algorithm": ("algorithms", lambda env: _config(algorithms=("uniform", "uniform"))),
     "config-nan-p": ("p", lambda env: _config(p=math.nan)),
     "config-zero-p": ("p", lambda env: _config(p=0.0)),
+    "gaps-nan-means": ("means", lambda env: gaps(NAN_MEANS, 1)),
+    "t-of-inf-means": ("means", lambda env: t_of(INF_MEANS, 1, 0.1)),
+    "psi-nan-means": ("means", lambda env: psi_quantities(NAN_MEANS, 1, 0.1)),
+    "hardness-nan-means": ("means", lambda env: hardness(NAN_MEANS, 1, 0.1)),
+    "hardness-inf-means": ("means", lambda env: hardness(INF_MEANS, 1, 0.1)),
+    "hardness-neg-inf-means": ("means", lambda env: hardness(NEG_INF_MEANS, 1, 0.1)),
+    "c-spread-nan-means": ("means", lambda env: check_c_spread(NAN_MEANS, 2.0)),
+    "aggregate-regret-nan-means": ("means", lambda env: aggregate_regret(NAN_MEANS, 1, [2])),
+    "aggregate-regret-neg-inf-means": ("means", lambda env: aggregate_regret(NEG_INF_MEANS, 1, [2])),
+    "is-eps-top-k-nan-means": ("means", lambda env: is_eps_top_k(NAN_MEANS, 1, 0.1, [2])),
 }
 
 

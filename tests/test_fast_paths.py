@@ -8,9 +8,12 @@ sorted pool, ``ref_halving`` under ``ref_est_kth_arm``, and the optional
 log of decision steps in ``ref_cb_accept_reject_topk``); they live here and
 nowhere in the package.
 Every comparison is exact: the fast paths do the same float operations, so
-they must agree bit for bit, not within a tolerance.  The one exception is
-the coin threshold search, which sums in another order than its scan; it
-must still give the same integer threshold.
+they must agree bit for bit, not within a tolerance.  The exceptions are the
+coin computations.  The threshold search sums in another order than its
+scan; it must still give the same integer threshold.  The numpy log-pmf and
+its tail sum replace scipy's ``gammaln`` and ``logsumexp``, which stay here
+as references; they must give the same threshold and agree within a bound
+derived from the rounding of each form.
 """
 
 import math
@@ -18,7 +21,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
+from scipy.special import gammaln, logsumexp
 
 from topk_bandit.adaptive import (
     SelectionResult, SelectionRun, _commit_sweep, _order_by_sums, _round_loop, _round_pulls,
@@ -34,7 +37,9 @@ from topk_bandit.improved import (
     _round_half_up, elim, eps_split, est_kth_arm, opt_mai, reverse_elim,
 )
 from topk_bandit.instances import gen_two_group
-from topk_bandit.lowerbound import GIVE_UP_RATE_CAP, _binomial_logpmf, _coin_threshold
+from topk_bandit.lowerbound import (
+    GIVE_UP_RATE_CAP, _binomial_logpmf, _coin_threshold, _log_choose, optimal_coin_log_error,
+)
 
 
 # --- references: the loop implementations -----------------------------------
@@ -211,6 +216,19 @@ def ref_binomial_logpmf(m: int, p: float) -> np.ndarray:
     k = np.arange(m + 1, dtype=np.float64)
     return (gammaln(m + 1) - gammaln(k + 1) - gammaln(m - k + 1)
             + k * math.log(p) + (m - k) * math.log1p(-p))
+
+
+def ref_optimal_coin_log_error(m: int, eta: float):
+    """The scipy form: (t, log error) from the ``gammaln`` log-pmf and a
+    ``logsumexp`` of its tail."""
+    logpmf = ref_binomial_logpmf(m, 0.5 - eta)
+    k = np.arange(m + 1)
+    mass = np.cumsum(np.bincount((np.abs(2 * k - m) + 1) // 2, weights=np.exp(logpmf)))
+    t = int(np.searchsorted(mass, GIVE_UP_RATE_CAP, side="right")) - 1
+    hi = math.floor(0.5 * m + t)
+    if hi + 1 > m:
+        return t, float("-inf")
+    return t, float(logsumexp(logpmf[hi + 1 :]))
 
 
 def ref_coin_threshold(m: int, eta: float):
@@ -845,10 +863,59 @@ def _coin_cases():
         yield int(rng.integers(1, 5_000)), float(rng.uniform(1e-4, 0.4999))
 
 
+_U = 2.0**-53  # unit roundoff of float64
+
+
+def _logpmf_bound(m: int, p: float) -> float:
+    """Bound on |_binomial_logpmf(m, p) - ref_binomial_logpmf(m, p)|, to first
+    order in the unit roundoff u, with log and gammaln within 2 ulp (4u
+    relative).
+
+    Numpy form: log C(m, k), k <= h = m // 2, is a running sum of k terms
+    log((m - j + 1) / j) >= 0.  Each term carries u from the division and 4u
+    times itself from the log; summing k non-negative terms left to right
+    adds at most (k - 1) u times the total.  So the error is at most
+    u (h + (h + 3) S), S = log C(m, h) <= m log 2 the largest total.
+    gammaln form: three values of at most G = lgamma(m + 1), 4u G each, and
+    two subtractions, u G each: 14 u G.
+    Each form then adds the same k log p and (m - k) log1p(-p) in two
+    roundings of at most u (S + m L), L the larger of the two logs: four in
+    all.
+    """
+    h = m // 2
+    S = math.lgamma(m + 1) - math.lgamma(h + 1) - math.lgamma(m - h + 1)
+    G = math.lgamma(m + 1)
+    L = max(-math.log(p), -math.log1p(-p))
+    return _U * (h + (h + 3) * S + 14 * G + 4 * (S + m * L))
+
+
 def test_binomial_logpmf_matches_three_gammaln_calls():
     for m in (1, 2, 1000, 10**5):
+        logc = _log_choose(m)
+        assert np.array_equal(logc, logc[::-1]), m  # C(m, k) = C(m, m - k) exactly
         for p in (0.4, 0.5 - 1e-4):
-            assert np.array_equal(_binomial_logpmf(m, p), ref_binomial_logpmf(m, p)), (m, p)
+            err = np.abs(_binomial_logpmf(m, p) - ref_binomial_logpmf(m, p)).max()
+            assert err <= _logpmf_bound(m, p), (m, p, err)
+
+
+def test_coin_log_error_matches_scipy_reference():
+    # Moving every tail term by at most B moves their log-sum-exp by at most
+    # B.  Each log-sum-exp of n terms then rounds by at most
+    # u (3n + 4 + |result|): n exps within 4u + u |shift| relative (the
+    # shift's weight e^shift |shift| is at most 1/e), their sum within
+    # (n - 1) u, the log within 4u log n <= 4u n / e, and the final add.
+    # The two forms each round so.
+    for m, eta in _coin_cases():
+        t, _ = _coin_threshold(m, eta)
+        ref_t, ref_err = ref_optimal_coin_log_error(m, eta)
+        assert t == ref_t, (m, eta)
+        err = optimal_coin_log_error(m, eta)
+        if ref_err == -math.inf:
+            assert err == -math.inf, (m, eta)
+            continue
+        n = m - math.floor(0.5 * m + t)
+        bound = _logpmf_bound(m, 0.5 - eta) + 2 * _U * (3 * n + 4 + abs(ref_err))
+        assert abs(err - ref_err) <= bound, (m, eta, err, ref_err)
 
 
 def test_coin_threshold_matches_scan():

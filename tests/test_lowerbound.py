@@ -207,15 +207,22 @@ def test_watchdog_refuses_a_malformed_request_as_the_environment_does(arms):
     assert env.total_pulls() == 0
 
 
-@pytest.mark.parametrize("module", ["topk_bandit", "topk_bandit.cli"])
-def test_import_leaves_scipy_to_the_first_coin_call(module):
-    # scipy.special is most of the package's import time; only the coin
-    # functions use it, and they import it when first called.
+def test_runtime_never_imports_scipy():
+    # numpy is the package's one runtime dependency; scipy is a test-only
+    # reference.  The coin functions, the CLI's lowerbound command and a
+    # reduction run are the code that used scipy.
     src = os.path.dirname(os.path.dirname(topk_bandit.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = (f"import sys, {module}, topk_bandit; print('scipy' in sys.modules); "
-            "topk_bandit.optimal_coin_log_error(10, 0.1); print('scipy' in sys.modules)")
+    code = ("import io, sys, contextlib, topk_bandit, topk_bandit.cli\n"
+            "from topk_bandit import adaptive_topk, optimal_coin_error, optimal_coin_log_error, "
+            "reduction_run\n"
+            "optimal_coin_log_error(1000, 0.1)\n"
+            "optimal_coin_error(1000, 0.1)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert topk_bandit.cli.main(['lowerbound']) == 0\n"
+            "reduction_run(adaptive_topk, 8, 4, 0.1, 1.0, C=10**6, seed=0)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["False", "True"]
+    assert out.stdout == "[]\n"
