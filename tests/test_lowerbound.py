@@ -207,13 +207,19 @@ def test_watchdog_refuses_a_malformed_request_as_the_environment_does(arms):
     assert env.total_pulls() == 0
 
 
-def test_runtime_never_imports_scipy():
+@pytest.mark.parametrize("module", ["topk_bandit", "topk_bandit.cli"])
+def test_import_leaves_scipy_to_the_first_coin_call(module):
     # numpy is the package's one runtime dependency; scipy is a test-only
-    # reference.  The coin functions, the CLI's lowerbound command and a
-    # reduction run are the code that used scipy.
+    # reference.  Neither import loads scipy, and neither do the code paths
+    # that once used it: the coin functions, the CLI's lowerbound command and
+    # a reduction run.
     src = os.path.dirname(os.path.dirname(topk_bandit.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = ("import io, sys, contextlib, topk_bandit, topk_bandit.cli\n"
+    code = (f"import io, sys, contextlib, {module}\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "print(scipy_modules())\n"
+            "import topk_bandit, topk_bandit.cli\n"
             "from topk_bandit import adaptive_topk, optimal_coin_error, optimal_coin_log_error, "
             "reduction_run\n"
             "optimal_coin_log_error(1000, 0.1)\n"
@@ -221,8 +227,8 @@ def test_runtime_never_imports_scipy():
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert topk_bandit.cli.main(['lowerbound']) == 0\n"
             "reduction_run(adaptive_topk, 8, 4, 0.1, 1.0, C=10**6, seed=0)\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(scipy_modules())")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout == "[]\n"
+    assert out.stdout == "[]\n[]\n"
