@@ -223,8 +223,9 @@ def run_experiment(config: ExperimentConfig, algorithms: dict = None) -> Experim
             return the selected arm set).  Overrides require workers == 1.
 
     The report is byte-identical across re-runs with the same config,
-    regardless of worker count: trial results are keyed and sorted before
-    aggregation.
+    regardless of worker count: each trial draws its streams from
+    (base_seed, budget, trial) alone, and its result is stored under its
+    (algorithm, budget, trial) cell and aggregated in the config's order.
     """
     registry = {name: select for name, (select, _) in ALGORITHMS.items()}
     if algorithms:

@@ -101,7 +101,10 @@ def _parse_config_file(path: str) -> dict:
             key, val = key.strip(), val.strip()
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = _CONFIG_KEYS[key](val)
+            try:
+                values[key] = _CONFIG_KEYS[key](val)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: bad value for key {key!r}: {exc}") from None
     return values
 
 

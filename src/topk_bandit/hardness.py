@@ -157,6 +157,23 @@ def hardness(means: np.ndarray, K: int, epsilon: float) -> HardnessReport:
     return HardnessReport(gap, t, psi_t, psi_eps, h_t, h_0, clamped)
 
 
+def _selection(selected, K: int, n: int) -> np.ndarray:
+    """``selected`` as an intp array; ValueError unless it holds exactly K
+    distinct integer ids in [0, n), for K >= 1."""
+    # Float ids or a mask would be cast silently: reject them like arm ids.
+    sel = _arm_ids(selected if isinstance(selected, np.ndarray) else list(selected))
+    if sel.size != K:
+        raise ValueError(f"selected set has size {sel.size}, expected K={K}")
+    # Sorted as unsigned, a negative index wraps above n: the last entry
+    # checks the range, and equal neighbours are duplicates.
+    ids = np.sort(sel.view(np.uintp))
+    if np.any(ids[1:] == ids[:-1]):
+        raise ValueError("selected set contains duplicate ids")
+    if ids[-1] >= n:
+        raise ValueError("selected id out of range")
+    return sel
+
+
 def aggregate_regret(means: np.ndarray, K: int, selected) -> float:
     """Average shortfall of a selected K-set versus the true best K arms.
 
@@ -167,17 +184,7 @@ def aggregate_regret(means: np.ndarray, K: int, selected) -> float:
     """
     means = _vector(means)
     K = _integer("K", K, 1, means.size)
-    # Float ids or a mask would be cast silently: reject them like arm ids.
-    sel = _arm_ids(selected if isinstance(selected, np.ndarray) else list(selected))
-    if sel.size != K:
-        raise ValueError(f"selected set has size {sel.size}, expected K={K}")
-    # Sorted as unsigned, a negative index wraps above n: the last entry
-    # checks the range, and equal neighbours are duplicates.
-    ids = np.sort(sel.view(np.uintp))
-    if np.any(ids[1:] == ids[:-1]):
-        raise ValueError("selected set contains duplicate ids")
-    if ids[-1] >= means.size:
-        raise ValueError("selected id out of range")
+    sel = _selection(selected, K, means.size)
     # fsum rounds exactly and tied arms have equal means, so any top-K
     # partition sums alike; a memoryview passes fsum floats with no list.
     best = math.fsum(memoryview(np.partition(means, -K)[-K:]))

@@ -82,23 +82,23 @@ def _halving(env, arms: np.ndarray, k_target: int, tau: float, phi: float, delta
     """Successive halving keeping the top max(k_target, half) arms per round,
     on the schedule of :func:`_halving_rounds`.
 
-    Returns (kept, kept_means, rounds): ``kept`` holds the survivors'
+    Returns (kept, kept_means, dropped): ``kept`` holds the survivors'
     positions in ``arms``, best first, ``kept_means`` their last means, and
-    ``rounds`` each round's (positions pulled, their reward sums, m), in
-    round order, from which the freshest mean of every input arm can be
-    rebuilt.  The calibration pass of a set that already fits keeps the
-    input order.
+    ``dropped`` each round's dropped positions, best first, in round order;
+    a round ranks its drops as it ranks its survivors.  The calibration pass
+    of a set that already fits keeps the input order and drops nothing.
     """
     arms = np.asarray(arms, dtype=np.intp)
     kept = np.arange(len(arms))
-    rounds = []
+    dropped = []
     for size, m in _halving_rounds(len(arms), k_target, tau, phi, delta):
         sums = env.pull_many(arms[kept], m)
-        rounds.append((kept, sums, m))
         if size > k_target:
-            keep = _order_by_sums(sums, m)[: max(k_target, math.ceil(size / 2))]
-            kept, sums = kept[keep], sums[keep]
-    return kept, sums / m, rounds
+            order = _order_by_sums(sums, m)
+            cut = max(k_target, math.ceil(size / 2))
+            dropped.append(kept[order[cut:]])
+            kept, sums = kept[order[:cut]], sums[order[:cut]]
+    return kept, sums / m, dropped
 
 
 def est_kth_arm(env, S, K: int, tau: float, phi: float, delta: float, rng=None):
@@ -128,11 +128,11 @@ def eps_split(env, S, K: int, tau: float, phi: float, delta: float) -> np.ndarra
     """Split S at the top-K boundary, valid when the surrounding gap is wide.
 
     Runs the halving core down to about (1 - tau) * K survivors and tops the
-    selection up to exactly K arms using the freshest means seen for the
-    rest.  When the true gap theta_((1-tau)K) - theta_((1+tau)K+1) is at
-    least phi, the aggregate regret is at most 2 * tau with probability at
-    least 1 - delta (the precondition is not checkable from samples; harness
-    code that knows the means enforces it).
+    selection up to exactly K arms from the halving's drops, the last
+    round's first, each best first.  When the true gap theta_((1-tau)K) -
+    theta_((1+tau)K+1) is at least phi, the aggregate regret is at most
+    2 * tau with probability at least 1 - delta (the precondition is not
+    checkable from samples; harness code that knows the means enforces it).
     """
     arms = np.sort(_arm_ids(S))
     _integer("K", K, 1, len(arms))
@@ -141,18 +141,9 @@ def eps_split(env, S, K: int, tau: float, phi: float, delta: float) -> np.ndarra
     if K == len(arms):
         return _sorted_ids(arms)
     k_target = _clamp(_round_half_up((1.0 - tau) * K), 1, K)
-    kept, _, rounds = _halving(env, arms, k_target, tau, phi, delta)
-    if len(kept) < K:
-        # "any arms" would do for the contract; the freshest means are free.
-        # Later rounds overwrite earlier ones, leaving each arm's last mean.
-        last_seen = np.empty(len(arms))
-        for pulled, sums, m in rounds:
-            last_seen[pulled] = sums / m
-        # ``arms`` is sorted, so a stable sort breaks ties by arm id.
-        rest = np.setdiff1d(np.arange(len(arms)), kept, assume_unique=True)
-        top_up = rest[np.argsort(-last_seen[rest], kind="stable")[: K - len(kept)]]
-        kept = np.concatenate([kept, top_up])
-    return _sorted_ids(arms[kept])
+    kept, _, dropped = _halving(env, arms, k_target, tau, phi, delta)
+    # At most K arms survive, and "any arms" would do for the contract.
+    return _sorted_ids(arms[np.concatenate([kept, *reversed(dropped)])[:K]])
 
 
 def _elim_pulls(phi: float, gamma: float, delta: float) -> int:

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .env import ArmEnvironment, EnvironmentView, Instance, _arm_ids, _integer, _open
+from .hardness import _selection
 
 __all__ = [
     "Hidden",
@@ -213,7 +214,8 @@ def reduction_run(algorithm, n: int, K: int, eta: float, epsilon: float, C: int,
     """Answer the coin question by running a top-K selection on a hard bandit.
 
     The selection algorithm (a callable ``algorithm(env, K, epsilon, delta)``
-    returning a result with ``selected`` arm ids) is run at the scaled-down
+    returning a result whose ``selected`` holds K distinct arm ids; any other
+    selection is refused with a ValueError) is run at the scaled-down
     tolerance eta * epsilon / 4 and failure probability 0.1.  The run gives
     up when the special arm is tossed more than 20 * C / n times; afterwards
     the selection is verified against the known values of the constructed
@@ -239,8 +241,10 @@ def reduction_run(algorithm, n: int, K: int, eta: float, epsilon: float, C: int,
         result = algorithm(watched, K, eps_prime, 0.1)
     except _GiveUp:
         return "unknown"
-    # Any iterable of ints will do; a repeated id counts once.
-    selected = np.unique(np.fromiter(result.selected, dtype=np.intp))
+    try:
+        selected = _selection(result.selected, K, n)
+    except ValueError as exc:
+        raise ValueError(f"the algorithm returned a bad selection: {exc}") from None
 
     known = selected[selected != hard.special_index]
     if not len(known):

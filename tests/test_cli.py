@@ -156,6 +156,16 @@ def test_value_missing_from_flags_and_file_is_usage_error(capsys, tmp_path, key,
     assert out == ""
 
 
+@pytest.mark.parametrize("line, key", [("n = 1e3", "n"), ("epsilon = small", "epsilon")])
+def test_bad_config_value_names_file_line_and_key(capsys, tmp_path, line, key):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"instance = two-group\n{line}\nk = 3\n")
+    code, out, err = run_cli(capsys, "experiment", "--config", str(cfg))
+    assert code == EXIT_DATA
+    assert err.startswith(f"error: {cfg}:2: bad value for key '{key}': ")
+    assert out == ""
+
+
 def test_seed_env_fallback(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("TOPK_BANDIT_SEED", "777")
     code, out, _ = run_cli(capsys, "run", "--instance", "two-group", "--n", "10",

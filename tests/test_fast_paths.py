@@ -5,7 +5,9 @@ The reference functions below are the earlier implementations, kept
 verbatim apart from names and docstrings (local arrays in place of the
 package's former tally class, the local ``_Pool`` in place of its former
 sorted pool, ``ref_halving`` under ``ref_est_kth_arm``, and the optional
-log of decision steps in ``ref_cb_accept_reject_topk``); they live here and
+log of decision steps in ``ref_cb_accept_reject_topk``), except that
+``ref_halving`` returns each round's drops and ``ref_eps_split`` tops up
+from them, the last round's first, as the package does; they live here and
 nowhere in the package.
 Every comparison is exact: the fast paths do the same float operations, so
 they must agree bit for bit, not within a tolerance.  The exceptions are the
@@ -270,17 +272,17 @@ def ref_coin_threshold(m: int, eta: float):
 
 def ref_halving(env, arms: np.ndarray, k_target: int, tau: float, phi: float, delta: float):
     R = np.asarray(arms, dtype=np.intp)
-    last_seen = {}
+    drops = []
     pulls = 0
     for size, m in _halving_rounds(len(R), k_target, tau, phi, delta):
         means = env.pull_many(R, m) / m
         pulls += m * size
-        for a, v in zip(R, means):
-            last_seen[int(a)] = float(v)
         if size > k_target:
-            keep = np.argsort(-means, kind="stable")[: max(k_target, math.ceil(size / 2))]
-            R, means = R[keep], means[keep]
-    return R, means, last_seen, pulls
+            order = np.argsort(-means, kind="stable")
+            cut = max(k_target, math.ceil(size / 2))
+            drops.append(R[order[cut:]])
+            R, means = R[order[:cut]], means[order[:cut]]
+    return R, means, drops, pulls
 
 
 def ref_est_kth_arm(env, S, K: int, tau: float, phi: float, delta: float, rng=None):
@@ -340,15 +342,12 @@ def ref_eps_split(env, S, K: int, tau: float, phi: float, delta: float) -> set:
     if not 0.0 < tau < 1.0:
         raise ValueError("tau must lie in (0, 1)")
     k_target = _clamp(_round_half_up((1.0 - tau) * K), 1, K)
-    R, _, last_seen, _ = ref_halving(env, arms, k_target, tau, phi, delta)
+    R, _, drops, _ = ref_halving(env, arms, k_target, tau, phi, delta)
     chosen = [int(a) for a in R]
-    if len(chosen) < K:
-        kept = set(chosen)
-        rest = [a for a in arms if int(a) not in kept]
-        # "any arms" would do for the contract; the freshest means are free.
-        rest.sort(key=lambda a: (-last_seen.get(int(a), -1.0), int(a)))
-        chosen.extend(int(a) for a in rest[: K - len(chosen)])
-    return set(chosen)
+    # The top-up takes the last round's drops first, each round's best first.
+    for dropped in reversed(drops):
+        chosen.extend(int(a) for a in dropped)
+    return set(chosen[:K])
 
 
 def _t_conditions(gap: np.ndarray, K: int, epsilon: float, t: int) -> bool:
@@ -724,17 +723,23 @@ def test_halving_matches_loop():
         for size, m in _halving_rounds(len(arms), k_target, tau, phi, delta):
             sorts[m >= 1 << 16] += size > k_target
         fast_env, slow_env = _env(means, 1, seed), _env(means, 1, seed)
-        kept, kept_means, rounds = _halving(fast_env, arms, k_target, tau, phi, delta)
-        R, R_means, seen, ref_pulls = ref_halving(slow_env, arms, k_target, tau, phi, delta)
+        kept, kept_means, dropped = _halving(fast_env, arms, k_target, tau, phi, delta)
+        R, R_means, drops, ref_pulls = ref_halving(slow_env, arms, k_target, tau, phi, delta)
         assert arms[kept].tolist() == R.tolist()
         assert kept_means.tolist() == R_means.tolist()
-        # The rounds, replayed in order, leave each arm's freshest mean.
-        assert [(len(pulled), m) for pulled, _, m in rounds] == list(
-            _halving_rounds(len(arms), k_target, tau, phi, delta))
-        last_seen = {}
-        for pulled, sums, m in rounds:
-            last_seen.update(zip(arms[pulled].tolist(), (sums / m).tolist()))
-        assert last_seen == seen
+        # Round by round, the same arms are dropped in the same order.
+        assert [arms[d].tolist() for d in dropped] == [d.tolist() for d in drops]
+        # The kept and dropped positions cover the input exactly once.
+        assert sorted(np.concatenate([kept, *dropped]).tolist()) == list(range(len(arms)))
+        # The schedule: an arm dropped in round i was pulled in rounds 0 to
+        # i, a survivor in every round, and every sorting round drops arms.
+        schedule = list(_halving_rounds(len(arms), k_target, tau, phi, delta))
+        pulled_by = np.cumsum([m for _, m in schedule])
+        expected = np.full(len(arms), pulled_by[-1])
+        for i, d in enumerate(dropped):
+            expected[d] = pulled_by[i]
+        assert fast_env.pull_counts[arms].tolist() == expected.tolist()
+        assert len(dropped) == sum(size > k_target for size, _ in schedule)
         assert fast_env.total_pulls() == ref_pulls
         _same_env_state(fast_env, slow_env)
     assert sorts[False] >= 100 and sorts[True] >= 100

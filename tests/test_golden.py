@@ -71,6 +71,14 @@ def _improved_collapsed_split():
     return _parts(improved_topk(_env(3, np.array([0.1, 0.9, 0.1, 0.1, 0.1, 0.1]), 1), 1, 0.5, DELTA))
 
 
+def _eps_split_top_up():
+    # Arms 1 and 4 tie at 0.93.  The top-up takes arm 4, dropped in the last
+    # round, over arm 1, dropped a round earlier with a higher last mean.
+    env = ArmEnvironment(Instance(np.array([0.96, 0.93, 0.0, 0.64, 0.93, 0.54, 0.54, 0.59]),
+                                  1, 0.1, 0.1), seed=338)
+    return [eps_split(env, range(8), 2, 0.38, 0.39, 0.1).tolist(), env.pull_counts.tolist()]
+
+
 def _criterion_12_csv():
     cfg = ExperimentConfig(instance="two-group", k=10, n=50, epsilon=0.05, delta=0.1,
                            algorithms=("adaptive-fb", "uniform"), budgets=(200, 1000),
@@ -124,6 +132,7 @@ CASES = {
         lambda env: adaptive_topk_fixed_budget(env, K, 20_000, delta=DELTA), 13),
     "eps-split": lambda: (lambda env: [sorted(eps_split(env, range(N), 10, 0.3, 0.1, DELTA).tolist()),
                                        env.pull_counts.tolist()])(_env(15)),
+    "eps-split-top-up": _eps_split_top_up,
     # A set that already fits gets one calibration pass, which must keep the
     # input order: the random pick indexes into it.
     "est-kth-arm": lambda: (lambda env: [est_kth_arm(env, range(N), 12, 0.2, 0.1, DELTA),
@@ -145,6 +154,7 @@ EXPECTED = {
     "cli-run": "606219e58f3bff5ab4fdcde88af093da82358eb2630285914040c28b30fb0088",
     "criterion-12-csv": "36e035d2f359eea4e3caab5a01cdd84cfd8f7c59fe2a7268dd5fba119fb7f7ce",
     "eps-split": "2ee398f066991bf9159aaa2727e6fd9a487fd5b51c979f1cb76a84f54894f423",
+    "eps-split-top-up": "7da6e55f56cca18a76d3def190266101839e8a5a4fdbb68ef6651b264151752e",
     "est-kth-arm": "2633d4fccd727e14f5d36dfa607b257858b9f951830323ec5cd03edad18ec854",
     "fixed-budget-below-n": "864109ce6087db4b7ef8ed504ce3f3e319c6211fe03a1206b972ff4604021515",
     "fixed-budget-remainder": "7640e66ca8a2260e68e5a7c0b5aaf78c76e6531b288b4897fc6ebdc3850d71f5",

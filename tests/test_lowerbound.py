@@ -119,11 +119,11 @@ class TestHardInstance:
             assert 1 / 10 <= ratio <= 2
 
 
-def _fixed_answer_algorithm(selection):
+def _fixed_answer_algorithm(selection, container=set):
     def algo(env, K, eps, delta):
-        # reduction_run reads any iterable of ints as the selection.
+        # reduction_run reads a set or a sequence of ints as the selection.
         none = np.empty(0, dtype=np.intp)
-        return SelectionResult(selected=set(selection), total_pulls=0,
+        return SelectionResult(selected=container(selection), total_pulls=0,
                                per_arm_pulls=np.zeros(env.n, dtype=np.int64),
                                rounds_completed=0, accepted_early=none, rejected=none)
     return algo
@@ -165,6 +165,19 @@ class TestReductionRun:
                 correct += ans == hard.coin.hidden_value.value
         assert outcomes["unknown"] / 60 <= GIVE_UP_RATE_CAP
         assert definite > 0 and correct / definite >= 0.85
+
+    # Selections of the 40-arm, K = 20 hard instance that are not K distinct
+    # ids in range; each used to be answered as if it were.
+    @pytest.mark.parametrize("pick", [
+        lambda planted: planted[:1],
+        lambda planted: planted[:1] * 20,
+        lambda planted: planted[:19] + [40],
+    ], ids=["short", "repeated-id", "out-of-range"])
+    def test_bad_selection_is_refused(self, pick):
+        planted = sorted(make_hard_instance(40, 0.1, 0).planted)
+        with pytest.raises(ValueError, match="^the algorithm returned a bad selection: "):
+            reduction_run(_fixed_answer_algorithm(pick(planted), list),
+                          40, 20, 0.1, 0.2, C=10**6, seed=0)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
