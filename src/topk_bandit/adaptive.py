@@ -93,7 +93,7 @@ class SelectionRun:
         per_arm = self.pulls()
         return SelectionResult(
             selected=_sorted_ids(selected),
-            total_pulls=int(per_arm.sum()),
+            total_pulls=self.spent(),
             per_arm_pulls=per_arm,
             rounds_completed=rounds_completed,
             accepted_early=_sorted_ids(accepted),

@@ -23,6 +23,9 @@ __all__ = [
     "PullTrace",
 ]
 
+# The most pulls an int64 counter holds, 2^63 - 1.
+_MAX_PULLS = int(np.iinfo(np.int64).max)
+
 
 @dataclass(frozen=True)
 class Instance:
@@ -99,10 +102,11 @@ def _positive(name: str, v) -> None:
 class ArmEnvironment:
     """Stateful seeded sampler; the only reward channel algorithms may use.
 
-    Maintains exact per-arm pull counters.  Algorithmic randomness (e.g. a
-    uniform choice among candidate arms) should come from :meth:`spawn_rng`
-    so it never perturbs the reward stream.  ``seed`` is a ``SeedSequence``
-    or an integer >= 0.
+    Maintains exact per-arm pull counters, int64 each, and their total as a
+    Python int; a request that would take a counter past 2^63 - 1 is
+    refused.  Algorithmic randomness (e.g. a uniform choice among candidate
+    arms) should come from :meth:`spawn_rng` so it never perturbs the reward
+    stream.  ``seed`` is a ``SeedSequence`` or an integer >= 0.
 
     Not thread-safe: one environment per concurrent run.
     """
@@ -115,6 +119,7 @@ class ArmEnvironment:
         self._rng = np.random.default_rng(reward_ss)
         self._algo_ss = algo_ss
         self.pull_counts = np.zeros(instance.n, dtype=np.int64)
+        self._total = 0
 
     @property
     def n(self) -> int:
@@ -129,10 +134,11 @@ class ArmEnvironment:
         Raises:
             IndexError: an arm index out of range.
             ValueError: ``arms`` not a 1-D integer array (a boolean mask or
-                a scalar, say), m not an integer, or m < 1.
+                a scalar, say), m not an integer, m < 1, or a pull count
+                that would pass 2^63 - 1.
         """
         arms = _arm_ids(arms)
-        m = _integer("m", m, 1)
+        m = _integer("m", m, 1, _MAX_PULLS)
         if arms.size == 1:
             # numpy's scalar draw takes the same value from the stream as its
             # array draw, at about 1.4 us against 10 us a call (2-core Xeon);
@@ -140,20 +146,33 @@ class ArmEnvironment:
             arm = int(arms[0])
             if not 0 <= arm < self.n:
                 raise IndexError("arm index out of range")
+            self._check_room(arms, m)
             self.pull_counts[arm] += m
+            self._total += m
             return np.array([self._rng.binomial(m, self.instance.means[arm])], dtype=np.int64)
         if arms.size == 0:
             return np.zeros(0, dtype=np.int64)
         # One pass: a negative id wraps above n as unsigned.
         if arms.view(np.uintp).max() >= self.n:
             raise IndexError("arm index out of range")
+        self._check_room(arms, m)
         sums = self._rng.binomial(m, self.instance.means[arms]).astype(np.int64, copy=False)
         np.add.at(self.pull_counts, arms, m)
+        self._total += m * arms.size
         return sums
+
+    def _check_room(self, arms: np.ndarray, m: int) -> None:
+        """ValueError if pulling ``arms`` m times each would take a counter
+        past 2^63 - 1.  No counter exceeds the total, so the counters are
+        read only once the total could pass that."""
+        if self._total + m * arms.size > _MAX_PULLS:
+            ids, times = np.unique(arms, return_counts=True)
+            if np.any((_MAX_PULLS - self.pull_counts[ids]) // times < m):
+                raise ValueError(f"m must keep every pull count <= 2^63 - 1, got {m}")
 
     def total_pulls(self) -> int:
         """Exact total number of reward draws requested so far."""
-        return int(self.pull_counts.sum())
+        return self._total
 
     def spawn_rng(self) -> np.random.Generator:
         """Fresh deterministic generator for algorithm-internal choices."""

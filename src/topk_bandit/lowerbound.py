@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import ArmEnvironment, EnvironmentView, Instance, _arm_ids, _integer, _open
+from .env import _MAX_PULLS, ArmEnvironment, EnvironmentView, Instance, _arm_ids, _integer, _open
 from .hardness import _selection
 
 __all__ = [
@@ -199,12 +199,12 @@ class _CapWatchdog(EnvironmentView):
     def pull_many(self, arms, m: int):
         # A malformed request is refused as the environment refuses it, not
         # turned into a give-up by the cap test.
-        arms, m = _arm_ids(arms), _integer("m", m, 1)
+        arms, m = _arm_ids(arms), _integer("m", m, 1, _MAX_PULLS)
         if arms.size and arms.view(np.uintp).max() >= self._inner.n:
             raise IndexError("arm index out of range")
         # An arm listed twice is pulled twice as often.
-        hits = np.count_nonzero(arms == self._arm)
-        if hits and self._inner.pull_counts[self._arm] + hits * m > self._cap:
+        hits = int(np.count_nonzero(arms == self._arm))  # Python ints: hits * m may pass 2^63
+        if hits and int(self._inner.pull_counts[self._arm]) + hits * m > self._cap:
             raise _GiveUp
         return self._inner.pull_many(arms, m)
 

@@ -57,6 +57,10 @@ CASES = {
     "eps-split-zero-phi": ("phi", lambda env: eps_split(env, range(10), 5, 0.1, 0, 0.1)),
     "elim-float-K": ("K", lambda env: elim(env, range(10), 2.5, 0.1, 0.1, 0.1)),
     "pull-many-empty-float-m": ("m", lambda env: env.pull_many([], 2.5)),
+    # A pull count past 2^63 - 1 would not fit an int64 counter.
+    "pull-many-m-2^63": ("m", lambda env: env.pull_many([0], 2**63)),
+    "pull-many-repeated-arm-past-2^63": ("m", lambda env: env.pull_many([0, 0], 2**62)),
+    "uniform-m-2^63": ("m", lambda env: uniform_topk(env, 5, 10 * 2**63)),
     "hardness-float-K": ("K", lambda env: hardness(MEANS, 2.0, 0.1)),
     "config-float-budget": ("budget", lambda env: _config(budgets=(10.7,))),
     "config-float-trials": ("trials", lambda env: _config(trials=2.5)),

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from topk_bandit.baselines import uniform_topk
 from topk_bandit.env import (
     ArmEnvironment, ComplementEnvironment, Instance, PullTrace,
 )
+from topk_bandit.improved import opt_mai, opt_mai_cost
 from topk_bandit.lowerbound import _CapWatchdog
 
 
@@ -189,7 +191,8 @@ def test_one_arm_requests_draw_as_the_vector_request():
     ([-1], 2, IndexError),
     ([1], 0, ValueError),
     ([1], True, ValueError),
-], ids=["out-of-range-id", "negative-id", "zero-m", "bool-m"])
+    ([0], 2**63, ValueError),        # past an int64 counter, on the watched arm
+], ids=["out-of-range-id", "negative-id", "zero-m", "bool-m", "m-2^63"])
 def test_refused_one_arm_request_counts_nothing(view, arms, m, error):
     env, fresh = make_env([0.2, 0.5, 0.8], seed=5), make_env([0.2, 0.5, 0.8], seed=5)
     with pytest.raises(error):
@@ -209,6 +212,38 @@ def test_refused_array_request_counts_nothing(view, arms):
         view(env).pull_many(arms, 2)
     assert env.total_pulls() == 0
     assert env.pull_many([0, 1, 2], 9).tolist() == fresh.pull_many([0, 1, 2], 9).tolist()
+
+
+def test_pull_totals_are_exact_past_2_63():
+    # Each counter fits an int64, but the totals of a run are Python ints.
+    means = np.linspace(0.9, 0.1, 1000)
+    env = make_env(means, K=100)
+    res = uniform_topk(env, 100, 10**19)
+    assert res.total_pulls == env.total_pulls() == 10**19
+    env = make_env(means, K=100)
+    opt_mai(env, range(1000), 100, 1e-8, 0.01)
+    assert env.total_pulls() == opt_mai_cost(1000, 1e-8, 0.01) > 2**63
+
+
+@pytest.mark.parametrize("view", [lambda env: env, ComplementEnvironment, PullTrace],
+                         ids=["env", "complement", "trace"])
+def test_request_past_an_int64_counter_is_refused(view):
+    # A counter may reach 2^63 - 1 and no further; a refused request draws
+    # and counts nothing.
+    env, fresh = make_env([0.2, 0.5, 0.8], seed=5), make_env([0.2, 0.5, 0.8], seed=5)
+    for e in (env, fresh):
+        e.pull_many([0, 1], 2**62)
+        e.pull_many([2], 2**63 - 1)
+    for arms, m in [([0, 1], 2**62), ([0, 0], 2**61), ([2], 1), ([0, 2], 1)]:
+        with pytest.raises(ValueError, match=f"^m must keep every pull count <= 2\\^63 - 1, got {m}$"):
+            view(env).pull_many(arms, m)
+    assert env.pull_counts.tolist() == [2**62, 2**62, 2**63 - 1]
+    assert env.total_pulls() == 2**64 - 1
+    # The stream is where it was: the next request, which fills both
+    # counters exactly, draws what the twin draws.
+    assert env.pull_many([0, 1], 2**62 - 1).tolist() == fresh.pull_many([0, 1], 2**62 - 1).tolist()
+    assert env.pull_counts.tolist() == [2**63 - 1] * 3
+    assert env.total_pulls() == 3 * (2**63 - 1)
 
 
 def test_batch_distribution_chi_square():

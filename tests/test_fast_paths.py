@@ -5,7 +5,7 @@ The reference functions below are the earlier implementations, kept
 verbatim apart from names and docstrings (local arrays in place of the
 package's former tally class, the local ``_Pool`` in place of its former
 sorted pool, ``ref_halving`` under ``ref_est_kth_arm``, and the optional
-log of decision steps in ``ref_cb_accept_reject_topk``), except that
+logs of decision and pull steps in ``ref_cb_accept_reject_topk``), except that
 ``ref_halving`` returns each round's drops and ``ref_eps_split`` tops up
 from them, the last round's first, as the package does; they live here and
 nowhere in the package.
@@ -104,7 +104,8 @@ def ref_round_loop(env, K: int, delta: float, tuned: bool, more):
     return accepted, rejected, survivors, k_rem, r
 
 
-def ref_cb_accept_reject_topk(env, K: int, budget: int, steps: list = None) -> SelectionResult:
+def ref_cb_accept_reject_topk(env, K: int, budget: int, steps: list = None,
+                              picks: list = None) -> SelectionResult:
     run = SelectionRun(env, K)
     _integer("budget", budget, env.n)
     if run.trivial():
@@ -152,6 +153,8 @@ def ref_cb_accept_reject_topk(env, K: int, budget: int, steps: list = None) -> S
 
         margins = np.abs(means - boundary) - radius
         x = int(u[int(np.argmin(margins))])
+        if picks is not None:
+            picks.append((u, counts[u], means, boundary, margins, x))
         chunk = int(min(counts[x], remaining))
         counts[x] += chunk
         sums[x] += env.pull_many([x], chunk)[0]
@@ -579,12 +582,12 @@ CB_CASES = [
 ]
 
 
-def _check_cb(means, K, budget, seed, steps=None):
+def _check_cb(means, K, budget, seed, steps=None, picks=None):
     """Run both loops on twin environments, require the same outcome and
     the same next draw, and return the fast loop's pull requests."""
     fast_env, slow_env = PullTrace(_env(means, K, seed)), _env(means, K, seed)
     fast = cb_accept_reject_topk(fast_env, K, budget)
-    slow = ref_cb_accept_reject_topk(slow_env, K, budget, steps)
+    slow = ref_cb_accept_reject_topk(slow_env, K, budget, steps, picks)
     assert fast.selected.tolist() == slow.selected.tolist()
     assert fast.accepted_early.tolist() == slow.accepted_early.tolist()
     assert fast.rejected.tolist() == slow.rejected.tolist()
@@ -626,6 +629,62 @@ def test_cb_cases_reach_a_mixed_step_and_a_capped_last_chunk():
             capped.append(idx)
     assert mixed == [0, 1, 2]
     assert capped == [3, 4, 5, 6, 8]
+
+
+# The package steps by pull-count groups: arms pulled c times share a radius,
+# and a group's candidates are its nearest means on each side of the
+# boundary.  Means rounded to 0.1 make ties at the boundary common.
+def _tied_means(n, seed):
+    return np.round(np.random.default_rng(seed).random(n), 1)
+
+
+def test_cb_equal_margins_go_to_the_lower_id():
+    # Distinct pull counts give distinct radii, and the means are multiples
+    # of 1/c, so arms of two groups never tie in margin.  The ties that do
+    # occur are across the boundary: the head's last and the tail's first
+    # mean are equally far from it.  The lower id must win whichever side it
+    # is on, while several groups take part in the step; and at equal
+    # distance the arm with fewer pulls wins on its larger radius, even with
+    # the higher id.
+    picks = []
+    _check_cb(_tied_means(20, 0), 7, 1000, 0, picks=picks)
+    lower_side = Counter()
+    by_radius = 0
+    for u, counts, means, boundary, margins, x in picks:
+        tied = margins == margins.min()
+        assert x == u[tied].min()
+        if len(np.unique(counts)) > 1 and len(np.unique(means[tied] > boundary)) == 2:
+            lower_side["above" if means[u == x][0] > boundary else "at or below"] += 1
+        dist = np.abs(means - boundary)
+        i = np.flatnonzero(u == x)[0]
+        by_radius += bool(np.any((dist == dist[i]) & (counts > counts[i]) & (u < x)))
+    assert lower_side["above"] >= 5 and lower_side["at or below"] >= 5
+    assert by_radius >= 20
+
+
+def test_cb_boundary_on_a_mean_gives_margin_minus_the_radius():
+    # The k-th and (k+1)-th means are equal, so the boundary is their mean:
+    # those arms are at distance 0 and their margin is -radius.
+    picks = []
+    _check_cb(_tied_means(20, 1), 7, 1000, 1, picks=picks)
+    on_boundary = [means[u == x][0] == boundary for u, counts, means, boundary, margins, x in picks]
+    assert sum(on_boundary) >= 10
+
+
+@pytest.mark.parametrize("K, seed", [(1, 2), (29, 1)])
+def test_cb_extreme_k_on_tied_means(K, seed):
+    # K = 1 and K = n - 1 on tied means: the head or the tail is one arm, and
+    # both runs decide some arms before the budget runs out.
+    steps = []
+    _check_cb(_tied_means(30, seed), K, 3000, seed, steps)
+    assert steps
+
+
+@pytest.mark.parametrize("shuffle", range(3))
+def test_cb_matches_loop_at_the_first_grid_point(shuffle):
+    # README's grid: two-group means, n = 1000, K = 100, first budget 6 250.
+    means = gen_two_group(1000, 100)
+    _check_cb(means[np.random.default_rng(shuffle).permutation(1000)], 100, 6250, shuffle)
 
 
 # --- adaptive_topk_fixed_budget --------------------------------------------

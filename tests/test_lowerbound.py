@@ -205,6 +205,10 @@ def test_watchdog_charges_an_arm_listed_twice_for_every_listing():
     assert env.pull_counts.tolist() == [0, 0, 0, 0]
     watched.pull_many([1, 0, 1], 5)  # exactly at the cap
     assert env.pull_counts.tolist() == [5, 10, 0, 0]
+    # Listings times m past 2^63 is past any cap, not a wrapped product.
+    with pytest.raises(_GiveUp):
+        watched.pull_many([1, 1], 2**62)
+    assert env.pull_counts.tolist() == [5, 10, 0, 0]
 
 
 @pytest.mark.parametrize("arms", [[True, False], np.array([0.0, 1.0]), [0, -4], [0, 4], [[0]]],
