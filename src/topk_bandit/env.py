@@ -11,6 +11,8 @@ issued the same sequence of pull requests return bit-identical reward sums.
 from __future__ import annotations
 
 import numbers
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +27,9 @@ __all__ = [
 
 # The most pulls an int64 counter holds, 2^63 - 1.
 _MAX_PULLS = int(np.iinfo(np.int64).max)
+# A request of more ids than this draws in chunks of this many, each chunk
+# from its own stream.
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -87,6 +92,14 @@ def _integer(name: str, v, lo: int, hi: int = None) -> int:
     return int(v)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _open(name: str, v, hi: float = 1.0) -> None:
     """ValueError unless 0 < v < hi (NaN fails)."""
     if not 0.0 < v < hi:
@@ -108,7 +121,10 @@ class ArmEnvironment:
     arms) should come from :meth:`spawn_rng` so it never perturbs the reward
     stream.  ``seed`` is a ``SeedSequence`` or an integer >= 0.
 
-    Not thread-safe: one environment per concurrent run.
+    A request of more than 2^16 ids draws at fixed positions in chunks of
+    2^16, each from its own stream, and may draw the chunks on threads of its
+    own; its sums are the same whatever the thread count.  An environment
+    takes one request at a time: one environment per concurrent run.
     """
 
     def __init__(self, instance: Instance, seed):
@@ -117,6 +133,8 @@ class ArmEnvironment:
             seed = np.random.SeedSequence(_integer("seed", seed, 0))
         reward_ss, algo_ss = seed.spawn(2)
         self._rng = np.random.default_rng(reward_ss)
+        self._reward_ss = reward_ss
+        self._chunk_rngs = [self._rng]  # chunk j's generator, made when first needed
         self._algo_ss = algo_ss
         self.pull_counts = np.zeros(instance.n, dtype=np.int64)
         self._total = 0
@@ -156,9 +174,42 @@ class ArmEnvironment:
         if arms.view(np.uintp).max() >= self.n:
             raise IndexError("arm index out of range")
         self._check_room(arms, m)
-        sums = self._rng.binomial(m, self.instance.means[arms]).astype(np.int64, copy=False)
+        if arms.size > _CHUNK:
+            sums = self._draw_chunks(arms, m)
+        else:
+            sums = self._rng.binomial(m, self.instance.means[arms]).astype(np.int64, copy=False)
         np.add.at(self.pull_counts, arms, m)
         self._total += m * arms.size
+        return sums
+
+    def _draw_chunks(self, arms: np.ndarray, m: int) -> np.ndarray:
+        """Reward sums of a wide request: chunk j, ids j * 2^16 up to
+        (j + 1) * 2^16, draws from generator j.  Generator 0 is the reward
+        stream; generator j >= 1 is seeded from the reward seed and j alone.
+        numpy's Binomial draw releases the GIL, so the chunks draw on up to
+        one thread per usable CPU."""
+        chunks = -(-arms.size // _CHUNK)
+        ss = self._reward_ss
+        while len(self._chunk_rngs) < chunks:
+            key = ss.spawn_key + (len(self._chunk_rngs),)
+            self._chunk_rngs.append(np.random.default_rng(
+                np.random.SeedSequence(ss.entropy, spawn_key=key, pool_size=ss.pool_size)))
+        means = self.instance.means
+        sums = np.empty(arms.size, dtype=np.int64)
+
+        def draw(j):
+            part = slice(j * _CHUNK, (j + 1) * _CHUNK)
+            sums[part] = self._chunk_rngs[j].binomial(m, means[arms[part]])
+
+        threads = min(_usable_cpus(), chunks)
+        if threads == 1:
+            for j in range(chunks):
+                draw(j)
+        else:
+            # A pool per request: a pool kept across requests would be
+            # inherited dead by the workers run_experiment forks.
+            with ThreadPoolExecutor(threads) as pool:
+                list(pool.map(draw, range(chunks)))
         return sums
 
     def _check_room(self, arms: np.ndarray, m: int) -> None:

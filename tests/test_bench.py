@@ -1,8 +1,12 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import topk_bandit
 from topk_bandit.bench import (
     ALGORITHMS,
     CSV_COLUMNS,
@@ -61,6 +65,31 @@ def test_report_determinism_and_worker_independence():
     csv2 = run_experiment(small_config()).to_csv()
     csv3 = run_experiment(small_config(workers=2)).to_csv()
     assert csv1 == csv2 == csv3
+
+
+def test_worker_processes_forked_after_a_wide_request():
+    # A request of more than 2^16 ids may draw on threads.  Worker processes
+    # forked after one, each making such requests themselves, must finish
+    # and report what one process reports.  A subprocess with a timeout turns
+    # a hang into a failure.
+    src = os.path.dirname(os.path.dirname(topk_bandit.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    n = 2**16 + 5
+    code = ("import numpy as np\n"
+            "from topk_bandit import ArmEnvironment, Instance\n"
+            "from topk_bandit.bench import ExperimentConfig, run_experiment\n"
+            f"env = ArmEnvironment(Instance(np.full({n}, 0.5), 1, 0.1, 0.1), 0)\n"
+            f"env.pull_many(np.arange({n}), 3)\n"
+            f"cfg = dict(instance='uniform', k=10, n={n}, algorithms=('uniform',), budgets=({2 * n},),\n"
+            "           trials=3, base_seed=4)\n"
+            "two, one = (run_experiment(ExperimentConfig(**cfg, workers=w)).to_csv() for w in (2, 1))\n"
+            "assert two == one, (two, one)\n"
+            "print(one, end='')\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert out.returncode == 0, out.stderr
+    header, row = out.stdout.splitlines()
+    assert header.startswith("algorithm,") and row.startswith(f"uniform,{2 * n},3,")
 
 
 def test_budget_cells_independent_of_grid_composition():

@@ -4,12 +4,13 @@ A hypothesis state machine makes pull requests through ``ArmEnvironment`` and
 its three views (``ComplementEnvironment``, ``PullTrace`` and the lower-bound
 reduction's ``_CapWatchdog``): well-formed ones, and ones with repeated,
 empty, one-arm, negative or past-the-end ids, boolean masks, float or bool m,
-and m near 2^63.  ``Model`` states the contract in plain Python: it keeps each
-counter and the total as Python ints, decides from the request alone whether
-it is refused and with what, and draws from its own generator on the same
-seed.  After every step the sums, the counters, the total and the reward
-stream's position must agree with the model, so a refused request must have
-changed nothing.
+and m near 2^63, and wide requests of 2^16 - 1, 2^16 and more ids with the
+same arm on both sides of a chunk boundary.  ``Model`` states the contract in
+plain Python: it keeps each counter and the total as Python ints, decides from
+the request alone whether it is refused and with what, and draws from its own
+generators on the same seed.  After every step the sums, the counters, the
+total and the position of every reward stream must agree with the model, so a
+refused request must have changed nothing.
 """
 
 from collections import Counter
@@ -23,6 +24,7 @@ from topk_bandit.env import ArmEnvironment, ComplementEnvironment, Instance, Pul
 from topk_bandit.lowerbound import _CapWatchdog, _GiveUp
 
 MAX = 2**63 - 1  # the most pulls one counter holds
+CHUNK = 2**16  # a request draws ids j * CHUNK up to (j + 1) * CHUNK from stream j
 
 # How a request passes its ids.  The first four are integer arrays or a list;
 # a non-empty mask, float or object array is refused, and so are a 2-D array
@@ -75,8 +77,18 @@ class Model:
         self.means = [float(p) for p in means]
         self.counts = [0] * len(self.means)
         self.total = 0
+        self.seed = seed
         reward_ss, _ = np.random.SeedSequence(seed).spawn(2)
-        self.rng = np.random.default_rng(reward_ss)
+        self.rngs = [np.random.default_rng(reward_ss)]
+
+    def stream(self, j):
+        """Chunk j's generator: the reward stream for j = 0, and for j >= 1
+        one seeded from child j of the reward seed sequence."""
+        while len(self.rngs) <= j:
+            k = len(self.rngs)
+            child = np.random.SeedSequence(self.seed).spawn(2)[0].spawn(k + 1)[k]
+            self.rngs.append(np.random.default_rng(child))
+        return self.rngs[j]
 
     def refusal(self, ids, form, m, kind, watch=None):
         """The exception type a request is refused with, or None.  ``ids`` are
@@ -99,13 +111,15 @@ class Model:
 
     def pull(self, ids, m):
         """Draw and count an accepted request; returns its reward sums."""
-        if not ids:
-            return []
-        sums = self.rng.binomial(m, np.array([self.means[a] for a in ids]))
-        for a in ids:
-            self.counts[a] += m
+        sums = []
+        for start in range(0, len(ids), CHUNK):
+            part = ids[start:start + CHUNK]
+            draws = self.stream(start // CHUNK).binomial(m, [self.means[a] for a in part])
+            sums += [int(s) for s in draws]
+        for a, t in Counter(ids).items():
+            self.counts[a] += t * m
         self.total += m * len(ids)
-        return [int(s) for s in sums]
+        return sums
 
 
 ids_strategy = st.lists(st.one_of(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6),
@@ -190,6 +204,23 @@ class ChannelMachine(RuleBasedStateMachine):
         ids = [arm] * times + [(arm + 1) % len(self.model.means)] * other
         self.request("watchdog", ids, "int64", m, "int")
 
+    @rule(view=st.sampled_from(VIEWS), size=st.sampled_from([CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3]),
+          seed=st.integers(0, 2**32), m=st.sampled_from([1, 7, 1000, 2**40]),
+          spoil=st.sampled_from([None, None, "id", "room"]))
+    def wide(self, view, size, seed, m, spoil):
+        # Ids drawn from a few arms repeat within and across chunks; the first
+        # chunk boundary has the same arm on both sides.  A spoilt request has
+        # an id past the end in its last chunk, or an m no counter has room for.
+        n = len(self.model.means)
+        ids = np.random.default_rng(seed).integers(0, n, size)
+        ids[CHUNK - 1:CHUNK + 1] = ids[0]
+        ids = ids.tolist()
+        if spoil == "id":
+            ids[-1] = n
+        elif spoil == "room":
+            m = MAX // (size // n) + 1
+        self.request(view, ids, "int64", m, "int")
+
     @rule()
     def spawn(self):
         # Algorithmic randomness comes from another stream.
@@ -199,7 +230,8 @@ class ChannelMachine(RuleBasedStateMachine):
     def agrees(self):
         assert self.env.pull_counts.tolist() == self.model.counts
         assert type(self.env.total_pulls()) is int and self.env.total_pulls() == self.model.total
-        assert self.env._rng.bit_generator.state == self.model.rng.bit_generator.state
+        streams = [g.bit_generator.state for g in self.env._chunk_rngs]
+        assert streams == [g.bit_generator.state for g in self.model.rngs]
 
 
 ChannelMachine.TestCase.settings = settings(

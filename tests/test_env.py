@@ -1,9 +1,11 @@
 import copy
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import topk_bandit.env as env_module
 from topk_bandit.baselines import uniform_topk
 from topk_bandit.env import (
     ArmEnvironment, ComplementEnvironment, Instance, PullTrace,
@@ -255,6 +257,47 @@ def test_batch_distribution_chi_square():
     expected = stats.binom.pmf(np.arange(m + 1), m, theta) * n_seeds
     _, p = stats.chisquare(counts, expected)
     assert p > 0.001
+
+
+def test_later_chunk_distribution_chi_square():
+    # A request of more than 2^16 ids draws its second chunk from a stream of
+    # its own: its law is Binomial(m, theta) too, and it is not the first
+    # chunk over again.
+    m, theta, chunk = 5, 0.3, 2**16
+    sums = make_env([theta], seed=0).pull_many(np.zeros(2 * chunk, dtype=np.intp), m)
+    first, second = sums[:chunk], sums[chunk:]
+    counts = np.bincount(second, minlength=m + 1)
+    expected = stats.binom.pmf(np.arange(m + 1), m, theta) * chunk
+    _, p = stats.chisquare(counts, expected)
+    assert p > 0.001
+    assert not np.array_equal(first, second)
+
+
+def test_wide_request_sums_do_not_depend_on_the_thread_count(monkeypatch):
+    # The chunks of a wide request fix its streams; one, two and four threads
+    # give the same sums, counters and stream positions.  The pool is as large
+    # as the usable CPUs allow, and on one CPU there is none.
+    pools = []
+
+    class Recorder(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(env_module, "ThreadPoolExecutor", Recorder)
+    means = np.concatenate([[0.0, 1.0], np.random.default_rng(8).random(998)])
+    arms = np.random.default_rng(9).integers(0, means.size, 4 * 2**16 + 3)
+    seen = []
+    for threads in (1, 2, 4):
+        monkeypatch.setattr(env_module, "_usable_cpus", lambda threads=threads: threads)
+        env = make_env(means, seed=11)
+        sums = [env.pull_many(arms, m).tolist() for m in (3, 10**6)]
+        sums.append(env.pull_many(arms[:2**16], 7).tolist())
+        streams = [g.bit_generator.state for g in env._chunk_rngs]
+        seen.append((sums, streams, env.pull_counts.tolist(), env.total_pulls()))
+    assert pools == [2, 2, 4, 4]
+    assert seen[0] == seen[1] == seen[2]
+    assert len(seen[0][1]) == 5
 
 
 def test_complement_environment_flips_rewards():
