@@ -37,12 +37,13 @@ M_KINDS = ("int", "int64", "uint64", "float", "bool", "str")
 
 
 def id_array(ids, form):
-    if form == "list":
+    """The ids, Python ints, passed in the given form."""
+    if form == "int32" and all(-2**31 <= a < 2**31 for a in ids):
+        return np.array(ids, dtype=np.int32)
+    if form in ("list", "int32"):  # ids that do not fit an int32 go as a list
         return list(ids)
     if form == "int64":
         return np.array(ids, dtype=np.int64)
-    if form == "int32":
-        return np.array(ids, dtype=np.int64).astype(np.int32) if ids else np.zeros(0, np.int32)
     if form == "uint64":
         return np.array(ids, dtype=np.int64).astype(np.uint64)
     if form == "mask":
@@ -57,6 +58,8 @@ def id_array(ids, form):
 
 
 def m_value(m, kind):
+    """m passed as the given kind; a numpy type too narrow for it leaves it a
+    Python int, which is a count as well."""
     if kind == "int64" and -2**63 <= m <= MAX:
         return np.int64(m)
     if kind == "uint64" and 0 <= m < 2**64:
@@ -146,10 +149,6 @@ class ChannelMachine(RuleBasedStateMachine):
 
     def request(self, view, ids, form, m, kind):
         arms, m_arg = id_array(ids, form), m_value(m, kind)
-        kind = kind if type(m_arg) is not int else "int"
-        if form == "int32" and ids and not all(-2**31 <= a < 2**31 for a in ids):
-            form = "list"  # an id that does not fit is passed as a list
-            arms = list(ids)
         events = len(self.trace.events)
         refused = self.model.refusal(ids, form, m, kind, self.watch if view == "watchdog" else None)
         try:
