@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .env import _integer, _open, _positive
+from .env import _CHUNK, _integer, _open, _positive
 
 __all__ = ["SelectionResult", "adaptive_topk", "adaptive_topk_fixed_budget"]
 
@@ -67,13 +67,16 @@ class SelectionRun:
 
     Checks that K is an integer in [0, env.n] and snapshots the pull
     counters, so the result reports only the pulls made after construction.
+    The snapshot is a copy only when a counter is non-zero: counters can be
+    set by hand, so a zero total does not mean zero counters.
     """
 
     def __init__(self, env, K: int):
         _integer("K", K, 0, env.n)
         self.env = env
         self.K = K
-        self._start = env.pull_counts.copy()
+        counts = env.pull_counts
+        self._start = counts.copy() if np.count_nonzero(counts) else None
         self._start_total = env.total_pulls()
 
     def trivial(self) -> bool:
@@ -84,9 +87,16 @@ class SelectionRun:
         """Pulls made since construction."""
         return self.env.total_pulls() - self._start_total
 
-    def pulls(self) -> np.ndarray:
-        """Per-arm pulls made since construction."""
-        return self.env.pull_counts - self._start
+    def pulls(self, ids=None) -> np.ndarray:
+        """Per-arm pulls made since construction, of the arms ``ids`` (an
+        index array) or of every arm, as a new array."""
+        counts = self.env.pull_counts
+        if ids is None:
+            return counts.copy() if self._start is None else counts - self._start
+        out = counts[ids]
+        if self._start is not None:
+            out -= self._start[ids]
+        return out
 
     def result(self, selected, rounds_completed: int, accepted=(), rejected=()) -> SelectionResult:
         """Build the result from id arrays (or integer sequences) in any order."""
@@ -102,10 +112,14 @@ class SelectionRun:
 
 
 def _schedule(r: int, tuned: bool) -> float:
+    """Round r's scale: 2^-r, or 1.01^-r in the tuned schedule."""
     return 1.01 ** (-r) if tuned else 2.0 ** (-r)
 
 
 def _round_pulls(n: int, r: int, delta: float, tuned: bool) -> int:
+    """Pulls per undecided arm in round r: ceil(ln(2 n r^2 / delta) / s^2)
+    for the round's scale s, which is ceil(4^r ln(2 n r^2 / delta)) in the
+    doubling schedule."""
     scale = _schedule(r, tuned)
     return math.ceil(math.log(2.0 * n * r * r / delta) / (scale * scale))
 
@@ -122,7 +136,9 @@ def _order_by_sums(sums: np.ndarray, m: int) -> np.ndarray:
     ``m - sums``.  One int64 subtract forms the key, and one unsigned max
     over it checks the range: the subtract wraps modulo 2^64, so a sum below
     0 or above m leaves a key that reads above m as unsigned.  The key is
-    shifted left past the b bits of the position and the position or-ed in:
+    shifted left past the b bits of the position and the position or-ed in
+    (past 2^16 arms 2^16 positions at a time, so the words are the only
+    n-length array; the many small rankings take all positions at once):
     those int64 words are distinct, so any sort of them gives the stable
     order, and the low b bits read it off.  Keys too wide for that, and any
     other input, take the float sort.
@@ -133,7 +149,12 @@ def _order_by_sums(sums: np.ndarray, m: int) -> np.ndarray:
         b = (sums.size - 1).bit_length()
         if top <= m and top.bit_length() + b <= 63:
             words <<= b
-            words |= np.arange(sums.size)
+            if sums.size <= _CHUNK:
+                words |= np.arange(sums.size)
+            else:  # no n-length position array beside the words
+                for lo in range(0, sums.size, _CHUNK):
+                    part = words[lo:lo + _CHUNK]
+                    part |= np.arange(lo, lo + part.size)
             words.sort()
             words &= (1 << b) - 1
             return words
@@ -203,9 +224,13 @@ def _round_loop(env, K: int, delta: float, tuned: bool, more, observe=None):
         if observe is not None:
             observe(survivors, m, sums)
         order = _order_by_sums(sums, m)
-        ranked = survivors[order]
         threshold = scale / 3.0 if tuned else 2.0 * scale
         n_acc, n_rej = _commit_sweep(sums, order, m, k_rem, threshold)
+        # The sums go before the gather, the order after it: at most three
+        # arrays of the round's size are alive at once.
+        del sums
+        ranked = survivors[order]
+        del order
         end = len(ranked) - n_rej
         # Copies: a view would keep the round's whole ranking alive.
         accepted.append(ranked[:n_acc].copy())  # best first
@@ -265,7 +290,7 @@ def adaptive_topk_fixed_budget(env, K: int, budget: int, delta: float = 0.01,
     sums = np.zeros(env.n, dtype=np.int64)
 
     def observe(arms, m, rewards):
-        sums[arms] += rewards  # distinct ids: survivors never repeat
+        np.add.at(sums, arms, rewards)  # in place: no gathered copy of sums[arms]
 
     accepted, rejected, survivors, k_rem, r = _round_loop(
         env, K, delta, tuned, lambda r, k_rem, cost: cost <= budget - run.spent(), observe)
@@ -280,14 +305,19 @@ def adaptive_topk_fixed_budget(env, K: int, budget: int, delta: float = 0.01,
         # Every survivor was pulled P times, the first ``extra`` once more.
         # Budget < n leaves P = 0: an unpulled arm counts as pulled once, and
         # with sum 0 the stable tie-break ranks it after the pulled ones.
-        pulls = run.pulls()[survivors]
+        keys = sums[survivors]
+        del sums  # the run's n-length sums: no pull follows
+        pulls = run.pulls(survivors)
         np.maximum(pulls, 1, out=pulls)
         # On the common scale L, sums * (L / pulls) ranks as sums / pulls;
         # L < 2^53 keeps those keys exact.
         L = math.lcm(int(pulls[0]), int(pulls[-1]))
         if L < 1 << 53:
-            order = _order_by_sums(sums[survivors] * (L // pulls), L)
+            keys *= np.floor_divide(L, pulls, out=pulls)
         else:
-            order = _order_by_sums(sums[survivors] / pulls, 1)
+            keys, L = keys / pulls, 1
+        del pulls
+        order = _order_by_sums(keys, L)
+        del keys
         survivors = survivors[order]
     return run.result(np.concatenate([accepted, survivors[:k_rem]]), r, accepted, rejected)

@@ -31,8 +31,7 @@ def uniform_topk(env, K: int, budget: int) -> SelectionResult:
         return run.result(range(K), 1)
     n = env.n
     m = budget // n
-    arms = np.arange(n)
-    order = _order_by_sums(env.pull_many(arms, m), m)
+    order = _order_by_sums(env.pull_many(np.arange(n), m), m)
     return run.result(order[:K], 1)
 
 

@@ -122,8 +122,9 @@ class ArmEnvironment:
     stream.  ``seed`` is a ``SeedSequence`` or an integer >= 0.
 
     A request of more than 2^16 ids draws at fixed positions in chunks of
-    2^16, each from its own stream, and may draw the chunks on threads of its
-    own; its sums are the same whatever the thread count.  An environment
+    2^16, each from its own stream.  The caller draws a share of the chunks
+    beside up to one helper thread per further usable CPU (none on one CPU);
+    the sums are the same whatever the thread count.  An environment
     takes one request at a time: one environment per concurrent run.
     """
 
@@ -186,8 +187,9 @@ class ArmEnvironment:
         """Reward sums of a wide request: chunk j, ids j * 2^16 up to
         (j + 1) * 2^16, draws from generator j.  Generator 0 is the reward
         stream; generator j >= 1 is seeded from the reward seed and j alone.
-        numpy's Binomial draw releases the GIL, so the chunks draw on up to
-        one thread per usable CPU."""
+        numpy's Binomial draw releases the GIL, so the caller draws chunks
+        beside up to one helper thread per further usable CPU, each taking
+        the next chunk index from one shared iterator."""
         chunks = -(-arms.size // _CHUNK)
         ss = self._reward_ss
         while len(self._chunk_rngs) < chunks:
@@ -197,19 +199,24 @@ class ArmEnvironment:
         means = self.instance.means
         sums = np.empty(arms.size, dtype=np.int64)
 
-        def draw(j):
-            part = slice(j * _CHUNK, (j + 1) * _CHUNK)
-            sums[part] = self._chunk_rngs[j].binomial(m, means[arms[part]])
+        jobs = iter(range(chunks))  # next() on it is atomic under the GIL
 
-        threads = min(_usable_cpus(), chunks)
-        if threads == 1:
-            for j in range(chunks):
-                draw(j)
-        else:
+        def draw():
+            for j in jobs:
+                part = slice(j * _CHUNK, (j + 1) * _CHUNK)
+                sums[part] = self._chunk_rngs[j].binomial(m, means[arms[part]])
+
+        helpers = min(_usable_cpus(), chunks) - 1
+        if helpers:
             # A pool per request: a pool kept across requests would be
             # inherited dead by the workers run_experiment forks.
-            with ThreadPoolExecutor(threads) as pool:
-                list(pool.map(draw, range(chunks)))
+            with ThreadPoolExecutor(helpers) as pool:
+                done = [pool.submit(draw) for _ in range(helpers)]
+                draw()
+                for f in done:
+                    f.result()
+        else:
+            draw()
         return sums
 
     def _check_room(self, arms: np.ndarray, m: int) -> None:

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .env import _arm_ids, _integer, _positive
+from .env import _CHUNK, _arm_ids, _integer, _positive
 
 __all__ = [
     "HardnessReport",
@@ -75,7 +75,10 @@ def _require_sorted(means: np.ndarray) -> np.ndarray:
 
 
 def _gaps(means: np.ndarray, K: int) -> np.ndarray:
-    return np.concatenate((means[:K] - means[K], means[K - 1] - means[K:]))
+    gap = np.empty_like(means)
+    np.subtract(means[:K], means[K], out=gap[:K])
+    np.subtract(means[K - 1], means[K:], out=gap[K:])
+    return gap
 
 
 def gaps(means: np.ndarray, K: int) -> np.ndarray:
@@ -131,9 +134,17 @@ def psi_quantities(means: np.ndarray, K: int, epsilon: float):
 
 
 def _capped_sum(inv: np.ndarray, cap: float) -> float:
-    # Sequential, left to right, as a scalar loop would add: np.sum's
-    # pairwise order could differ in the last bits.
-    return float(np.cumsum(np.minimum(inv, cap))[-1])
+    """Sum of min(inv, cap), capping ``inv`` in place.
+
+    Sequential, left to right, as a scalar loop would add: np.sum's pairwise
+    order could differ in the last bits.  The running sum is carried into
+    each 2^16-term cumsum, so no n-length buffer is needed.
+    """
+    np.minimum(inv, cap, out=inv)
+    total = 0.0
+    for lo in range(0, inv.size, _CHUNK):
+        total = np.cumsum(np.concatenate(([total], inv[lo:lo + _CHUNK])))[-1]
+    return float(total)
 
 
 def hardness(means: np.ndarray, K: int, epsilon: float) -> HardnessReport:
@@ -149,11 +160,14 @@ def hardness(means: np.ndarray, K: int, epsilon: float) -> HardnessReport:
     psi_eps = max(float(epsilon), psi_t)
 
     # A zero gap (or one whose square underflows) has an infinite inverse,
-    # which the cap replaces.
+    # which the cap replaces.  One buffer beside the gaps: psi_eps >= epsilon,
+    # so the h_t cap is at most the h_0 cap, and capping the h_0 terms again
+    # gives the h_t terms.
+    inv = np.multiply(gap, gap)
     with np.errstate(divide="ignore"):
-        inv = 1.0 / (gap * gap)
-    h_t = _capped_sum(inv, 1.0 / (psi_eps * psi_eps))
+        np.divide(1.0, inv, out=inv)
     h_0 = _capped_sum(inv, 1.0 / (float(epsilon) * float(epsilon)))
+    h_t = _capped_sum(inv, 1.0 / (psi_eps * psi_eps))
     return HardnessReport(gap, t, psi_t, psi_eps, h_t, h_0, clamped)
 
 

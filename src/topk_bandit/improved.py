@@ -61,6 +61,10 @@ def _clamp(v: int, lo: int, hi: int) -> int:
 def _halving_rounds(size: int, k_target: int, tau: float, phi: float, delta: float):
     """Yield (set_size, pulls_per_arm) for each halving round.
 
+    Round i = 0, 1, ... pulls each arm ceil(8 / phi_i^2 * ln(1 / (tau_i *
+    delta_i * delta))) times, with tau_0 = tau / 4, phi_0 = phi / 4 and
+    delta_0 = delta / 8; each round multiplies tau_i and phi_i by 3/4 and
+    halves delta_i, and the set keeps max(k_target, ceil(size / 2)) arms.
     When the set already fits (size <= k_target) a single calibration pass at
     the first-round parameters is emitted so empirical means always exist.
     """
@@ -147,8 +151,9 @@ def eps_split(env, S, K: int, tau: float, phi: float, delta: float) -> np.ndarra
 
 
 def _elim_pulls(phi: float, gamma: float, delta: float) -> int:
-    # Smallest count for which a two-sided tail bound at radius phi/2 caps the
-    # per-arm mistake probability by gamma * delta / 2.
+    # ceil(2 / phi^2 * ln(4 / (gamma * delta))): the smallest count for which
+    # a two-sided tail bound at radius phi/2 caps the per-arm mistake
+    # probability by gamma * delta / 2.
     return math.ceil(2.0 / (phi * phi) * math.log(4.0 / (gamma * delta)))
 
 
@@ -190,7 +195,8 @@ def reverse_elim(env, S, K: int, gamma: float, phi: float, delta: float) -> np.n
 
 
 def _opt_mai_pulls(size: int, epsilon: float, delta: float) -> int:
-    # Per-arm count for which a union bound over the set closes at epsilon.
+    # ceil(2 / epsilon^2 * ln(2 |S| / delta)): the per-arm count for which a
+    # union bound over the set closes at epsilon.
     return math.ceil(2.0 / (epsilon * epsilon) * math.log(2.0 * size / delta))
 
 

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import shuffled_trial, success_rate
-from topk_bandit.adaptive import adaptive_topk, adaptive_topk_fixed_budget
+from topk_bandit.adaptive import SelectionResult, adaptive_topk, adaptive_topk_fixed_budget
+from topk_bandit.baselines import cb_accept_reject_topk, uniform_topk
+from topk_bandit.bench import ALGORITHMS
 from topk_bandit.env import ArmEnvironment, Instance, PullTrace
+from topk_bandit.improved import improved_topk, opt_mai
 from topk_bandit.instances import gen_two_group
 
 
@@ -174,3 +177,48 @@ def test_tuned_variant_runs_and_respects_budget():
     res = adaptive_topk_fixed_budget(env, 6, 5000, tuned=True)
     assert res.total_pulls <= 5000
     assert len(res.selected) == 6
+
+
+# Each registry entry as a call returning its SelectionResult.  ``optmai``
+# returns ids only and keeps no pull tally, so only its selection is checked.
+_RESULT_CALLS = {
+    "adaptive": lambda env: adaptive_topk(env, 6, 0.1, 0.1),
+    "adaptive-fb": lambda env: adaptive_topk_fixed_budget(env, 6, 3_000, delta=0.1),
+    "adaptive-fb-tuned": lambda env: adaptive_topk_fixed_budget(env, 6, 3_000, delta=0.1,
+                                                                tuned=True),
+    "improved": lambda env: improved_topk(env, 6, 0.1, 0.1),
+    "uniform": lambda env: uniform_topk(env, 6, 3_000),
+    "cb-ar": lambda env: cb_accept_reject_topk(env, 6, 3_000),
+    "optmai": lambda env: opt_mai(env, range(env.n), 6, 0.1, 0.1),
+}
+
+
+@pytest.mark.parametrize("name", list(ALGORITHMS))
+def test_results_count_only_the_runs_own_pulls(name):
+    # A zero total does not mean zero counters: counters set by hand leave
+    # the total at 0.  On a fresh environment, a hand-preset one and one
+    # pulled earlier, a result counts exactly the run's own pulls, and keeps
+    # that count when the environment is pulled again.
+    means = gen_two_group(60, 6)
+    call = _RESULT_CALLS[name]
+    fresh, preset, pulled = (make_env(means, seed=4, K=6) for _ in range(3))
+    preset.pull_counts[:] = np.arange(60) * 1_000
+    pulled.pull_many(np.arange(60), 3)
+    pulled.pull_many([0, 0, 59], 2)
+    results = []
+    for env in (fresh, preset, pulled):
+        counts, total = env.pull_counts.copy(), env.total_pulls()
+        res = call(env)
+        results.append(res)
+        if not isinstance(res, SelectionResult):
+            continue
+        own = env.pull_counts - counts
+        assert res.per_arm_pulls.tolist() == own.tolist()
+        assert res.total_pulls == env.total_pulls() - total == int(own.sum()) > 0
+        env.pull_many(np.arange(60), 1)
+        assert res.per_arm_pulls.tolist() == own.tolist()
+    # Presetting the counters leaves the reward stream and the run as they are.
+    if name == "optmai":
+        assert results[0].tolist() == results[1].tolist()
+    else:
+        assert results[0] == results[1]

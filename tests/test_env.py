@@ -274,9 +274,10 @@ def test_later_chunk_distribution_chi_square():
 
 
 def test_wide_request_sums_do_not_depend_on_the_thread_count(monkeypatch):
-    # The chunks of a wide request fix its streams; one, two and four threads
-    # give the same sums, counters and stream positions.  The pool is as large
-    # as the usable CPUs allow, and on one CPU there is none.
+    # The chunks of a wide request fix its streams; one, two and four usable
+    # CPUs give the same sums, counters and stream positions.  The caller
+    # draws beside a pool of one helper per further usable CPU, and on one
+    # CPU there is none.
     pools = []
 
     class Recorder(ThreadPoolExecutor):
@@ -295,7 +296,7 @@ def test_wide_request_sums_do_not_depend_on_the_thread_count(monkeypatch):
         sums.append(env.pull_many(arms[:2**16], 7).tolist())
         streams = [g.bit_generator.state for g in env._chunk_rngs]
         seen.append((sums, streams, env.pull_counts.tolist(), env.total_pulls()))
-    assert pools == [2, 2, 4, 4]
+    assert pools == [1, 1, 3, 3]
     assert seen[0] == seen[1] == seen[2]
     assert len(seen[0][1]) == 5
 

@@ -25,9 +25,11 @@ import numpy as np
 import pytest
 from scipy.special import gammaln, logsumexp
 
+import topk_bandit.adaptive as adaptive_module
+import topk_bandit.improved as improved_module
 from topk_bandit.adaptive import (
-    SelectionResult, SelectionRun, _commit_sweep, _order_by_sums, _round_loop, _round_pulls,
-    _schedule, _sorted_ids, adaptive_topk_fixed_budget,
+    SelectionResult, SelectionRun, _commit_sweep, _order_by_sums, _round_loop, _sorted_ids,
+    adaptive_topk_fixed_budget,
 )
 from topk_bandit.baselines import _CB_C, cb_accept_reject_topk
 from topk_bandit.env import ArmEnvironment, Instance, PullTrace, _arm_ids, _integer
@@ -35,13 +37,91 @@ from topk_bandit.hardness import (
     HardnessReport, _require_sorted, gaps, hardness, psi_quantities, t_of,
 )
 from topk_bandit.improved import (
-    _clamp, _elim_pulls, _halving, _halving_rounds, _opt_mai_pulls, _round_half_down,
-    _round_half_up, elim, eps_split, est_kth_arm, opt_mai, reverse_elim,
+    _clamp, _halving, _round_half_down, _round_half_up, elim, eps_split, est_kth_arm, opt_mai,
+    reverse_elim,
 )
 from topk_bandit.instances import gen_two_group
 from topk_bandit.lowerbound import (
     GIVE_UP_RATE_CAP, _binomial_logpmf, _coin_threshold, _log_choose, optimal_coin_log_error,
 )
+
+
+# --- schedule oracles: the pull formulas, transcribed from their statements --
+#
+# The statements are those of the adaptive and improved module docstrings and
+# of the schedule functions' docstrings.  The references below use these, not
+# the package's functions, so no formula is checked against itself; the
+# transcriptions keep each statement's float operations in their stated
+# order, so the counts agree exactly.
+
+def oracle_scale(r: int, tuned: bool) -> float:
+    """Round r's scale: 2^-r, or 1.01^-r in the tuned schedule."""
+    return 1.01 ** -r if tuned else 0.5 ** r
+
+
+def oracle_round_pulls(n: int, r: int, delta: float, tuned: bool) -> int:
+    """Round r pulls each undecided arm ceil(4^r ln(2 n r^2 / delta)) times;
+    the tuned schedule divides the log by its squared scale instead."""
+    log = math.log(2 * n * r**2 / delta)
+    if tuned:
+        s = oracle_scale(r, True)
+        return math.ceil(log / (s * s))
+    return math.ceil(4**r * log)
+
+
+def oracle_halving_rounds(size: int, k_target: int, tau: float, phi: float,
+                          delta: float) -> list:
+    """(set size, pulls per arm) of each halving round i = 0, 1, ...: each arm
+    is pulled ceil(8 / phi_i^2 * ln(1 / (tau_i delta_i delta))) times, with
+    tau_0 = tau / 4, phi_0 = phi / 4 and delta_0 = delta / 8; each round
+    multiplies tau_i and phi_i by 3/4 and halves delta_i, and the set keeps
+    max(k_target, ceil(size / 2)) arms.  Rounds run while the set exceeds
+    k_target; a set that already fits gets one calibration round."""
+    rounds = []
+    t, p, d = tau / 4, phi / 4, delta / 8
+    while not rounds or size > k_target:
+        rounds.append((size, math.ceil(8 / (p * p) * math.log(1 / (t * d * delta)))))
+        size = max(k_target, -(-size // 2))
+        t, p, d = t * 0.75, p * 0.75, d / 2
+    return rounds
+
+
+def oracle_elim_pulls(phi: float, gamma: float, delta: float) -> int:
+    """ceil(2 / phi^2 * ln(4 / (gamma delta))) pulls per arm."""
+    return math.ceil(2 / (phi * phi) * math.log(4 / (gamma * delta)))
+
+
+def oracle_opt_mai_pulls(size: int, epsilon: float, delta: float) -> int:
+    """ceil(2 / epsilon^2 * ln(2 |S| / delta)) pulls per arm."""
+    return math.ceil(2 / (epsilon * epsilon) * math.log(2 * size / delta))
+
+
+def test_schedules_match_their_statements():
+    rng = np.random.default_rng(21)
+    for _ in range(2000):
+        n = int(rng.integers(2, 10**7))
+        delta = _log_uniform(rng, 1e-12, 0.9)
+        for tuned in (False, True):
+            r = int(rng.integers(1, 400 if tuned else 40))
+            assert adaptive_module._schedule(r, tuned) == oracle_scale(r, tuned)
+            assert adaptive_module._round_pulls(n, r, delta, tuned) == \
+                oracle_round_pulls(n, r, delta, tuned)
+        size = int(rng.integers(1, 10**6))
+        k_target = int(rng.integers(1, size + 2))
+        tau, phi, gamma = (float(v) for v in rng.uniform(1e-4, 0.999, 3))
+        assert list(improved_module._halving_rounds(size, k_target, tau, phi, delta)) == \
+            oracle_halving_rounds(size, k_target, tau, phi, delta)
+        assert improved_module._elim_pulls(phi, gamma, delta) == \
+            oracle_elim_pulls(phi, gamma, delta)
+        assert improved_module._opt_mai_pulls(size, phi, delta) == \
+            oracle_opt_mai_pulls(size, phi, delta)
+    # Anchors worked by hand: ceil(4 ln(2 * 10^5)) = ceil(48.82) and
+    # ceil(16 ln(8 * 10^5)) = ceil(217.5); ceil(2 / 0.01 * ln(4 / 0.01)) =
+    # ceil(1198.3); ceil(2 / 0.01 * ln(2000 / 0.01)) = ceil(2441.2).
+    assert oracle_round_pulls(1000, 1, 0.01, False) == 49
+    assert oracle_round_pulls(1000, 2, 0.01, False) == 218
+    assert oracle_elim_pulls(0.1, 0.1, 0.1) == 1199
+    assert oracle_opt_mai_pulls(1000, 0.1, 0.01) == 2442
 
 
 # --- references: the loop implementations -----------------------------------
@@ -92,11 +172,11 @@ def ref_round_loop(env, K: int, delta: float, tuned: bool, more):
     r = 0
     k_rem = K
     while k_rem >= 1 and len(survivors) > k_rem:
-        m = _round_pulls(n, r + 1, delta, tuned)
+        m = oracle_round_pulls(n, r + 1, delta, tuned)
         if not more(r, k_rem, m * len(survivors)):
             break
         r += 1
-        scale = _schedule(r, tuned)
+        scale = oracle_scale(r, tuned)
         pool = _Pool(survivors, env.pull_many(survivors, m), m)
         threshold = scale / 3.0 if tuned else 2.0 * scale
         k_rem = ref_commit_sweep(pool, k_rem, threshold, accepted, rejected)
@@ -277,7 +357,7 @@ def ref_halving(env, arms: np.ndarray, k_target: int, tau: float, phi: float, de
     R = np.asarray(arms, dtype=np.intp)
     drops = []
     pulls = 0
-    for size, m in _halving_rounds(len(R), k_target, tau, phi, delta):
+    for size, m in oracle_halving_rounds(len(R), k_target, tau, phi, delta):
         means = env.pull_many(R, m) / m
         pulls += m * size
         if size > k_target:
@@ -312,7 +392,7 @@ def ref_elim_core(env, S, gamma: float, phi: float, delta: float, reverse: bool)
     for pname, v in (("gamma", gamma), ("phi", phi), ("delta", delta)):
         if not 0.0 < v < 1.0:
             raise ValueError(f"{pname} must lie in (0, 1)")
-    m = _elim_pulls(phi, gamma, delta)
+    m = oracle_elim_pulls(phi, gamma, delta)
     means = env.pull_many(arms, m) / m
     t_size = math.ceil(len(arms) / 10)
     if reverse:
@@ -330,7 +410,7 @@ def ref_opt_mai(env, S, K: int, epsilon: float, delta: float) -> np.ndarray:
         raise ValueError("delta must lie in (0, 1)")
     if K in (0, len(arms)) or epsilon >= 1.0:
         return _sorted_ids(arms[:K])
-    m = _opt_mai_pulls(len(arms), epsilon, delta)
+    m = oracle_opt_mai_pulls(len(arms), epsilon, delta)
     means = env.pull_many(arms, m) / m
     order = np.argsort(-means, kind="stable")
     return _sorted_ids(arms[order[:K]])
@@ -467,6 +547,16 @@ def test_order_by_sums_matches_float_sort(m):
             assert np.array_equal(fast, ref), (m, type(pulls), sums.dtype, sums[:10])
             assert fast.dtype == np.intp
     assert len(_order_by_sums(np.zeros(0, dtype=np.int64), m)) == 0
+
+
+def test_order_by_sums_matches_float_sort_past_one_chunk():
+    # Past 2^16 arms the positions are or-ed in 2^16 at a time; heavy ties
+    # make every chunk's positions decide the order.
+    rng = np.random.default_rng(22)
+    for size in (2**16, 2**16 + 1, 3 * 2**16 + 5):
+        for m in (7, 10**6):
+            sums = rng.integers(0, m + 1, size)
+            assert np.array_equal(_order_by_sums(sums, m), ref_order_by_sums(sums, m))
 
 
 def test_order_by_sums_cases_reach_every_branch(monkeypatch):
@@ -779,7 +869,7 @@ def test_halving_matches_loop():
         means, S, tau, phi, delta = _halving_case(rng)
         arms = np.sort(S)
         k_target = int(rng.integers(1, len(arms) + 1))
-        for size, m in _halving_rounds(len(arms), k_target, tau, phi, delta):
+        for size, m in oracle_halving_rounds(len(arms), k_target, tau, phi, delta):
             sorts[m >= 1 << 16] += size > k_target
         fast_env, slow_env = _env(means, 1, seed), _env(means, 1, seed)
         kept, kept_means, dropped = _halving(fast_env, arms, k_target, tau, phi, delta)
@@ -792,7 +882,7 @@ def test_halving_matches_loop():
         assert sorted(np.concatenate([kept, *dropped]).tolist()) == list(range(len(arms)))
         # The schedule: an arm dropped in round i was pulled in rounds 0 to
         # i, a survivor in every round, and every sorting round drops arms.
-        schedule = list(_halving_rounds(len(arms), k_target, tau, phi, delta))
+        schedule = oracle_halving_rounds(len(arms), k_target, tau, phi, delta)
         pulled_by = np.cumsum([m for _, m in schedule])
         expected = np.full(len(arms), pulled_by[-1])
         for i, d in enumerate(dropped):
@@ -846,7 +936,7 @@ def test_elim_matches_float_sort(reverse):
         slow = ref_elim_core(slow_env, S, gamma, phi, delta, reverse)
         assert fast.tolist() == slow.tolist() and fast.dtype == np.intp
         _same_env_state(fast_env, slow_env)
-        big_m += _elim_pulls(phi, gamma, delta) >= 1 << 16
+        big_m += oracle_elim_pulls(phi, gamma, delta) >= 1 << 16
     assert 100 < big_m < 200, big_m
 
 
@@ -862,7 +952,7 @@ def test_opt_mai_matches_float_sort():
         slow = ref_opt_mai(slow_env, S, K, epsilon, delta)
         assert fast.tolist() == slow.tolist() and fast.dtype == np.intp
         _same_env_state(fast_env, slow_env)
-        big_m += 0 < K < len(S) and _opt_mai_pulls(len(S), epsilon, delta) >= 1 << 16
+        big_m += 0 < K < len(S) and oracle_opt_mai_pulls(len(S), epsilon, delta) >= 1 << 16
     assert 100 < big_m < 200, big_m
 
 
