@@ -179,8 +179,7 @@ def default_budget_grid(means: np.ndarray, K: int, epsilon: float) -> list:
     sorted_means = np.sort(means)[::-1]
     h = hardness(sorted_means, K, epsilon).h_t_eps
     n = means.size
-    grid = sorted({max(n, int(round(c * h))) for c in (1, 2, 5, 10, 25, 50)})
-    return list(grid)
+    return sorted({max(n, int(round(c * h))) for c in (1, 2, 5, 10, 25, 50)})
 
 
 def setup_trial(means, K, epsilon, delta, shuffle_seed, env_seed):

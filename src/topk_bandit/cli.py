@@ -208,7 +208,7 @@ def _cmd_run(args) -> int:
 
 
 def _write_out(path, text: str) -> None:
-    """Write CSV text to ``path``, or to standard output when it is None."""
+    """Write ``text`` to ``path``, or to standard output when it is None."""
     if path:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -246,8 +246,7 @@ def _cmd_experiment(args, argv) -> int:
     report = run_experiment(config)
     _write_out(args.out, report.to_csv())
     if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
+        _write_out(args.json_out, report.to_json())
     return EXIT_OK
 
 

@@ -92,6 +92,29 @@ def _integer(name: str, v, lo: int, hi: int = None) -> int:
     return int(v)
 
 
+def _request(arms, m, n: int):
+    """A pull request as (intp ids, int m); ValueError unless m is an integer
+    in [1, 2^63 - 1], IndexError unless each id (repeats allowed) is in [0, n)."""
+    arms, m = _arm_ids(arms), _integer("m", m, 1, _MAX_PULLS)
+    # One id (cb-ar's step) takes a scalar test, more one unsigned max: a negative id wraps above n.
+    if arms.size == 1 and not 0 <= arms.item(0) < n or arms.size > 1 and arms.view(np.uintp).max() >= n:
+        raise IndexError("arm index out of range")
+    return arms, m
+
+
+def _distinct_ids(name: str, ids, n: int, sort: bool = False) -> np.ndarray:
+    """``ids`` as an intp array, sorted if ``sort`` and else in the order given;
+    ValueError naming them unless they are distinct integer ids in [0, n)."""
+    s = ids = _arm_ids(ids)
+    if s.size > 1 and np.count_nonzero(s[1:] <= s[:-1]):  # ids that ascend need no sort
+        s = np.sort(s)
+        if np.count_nonzero(s[1:] == s[:-1]):
+            raise ValueError(f"{name} must hold distinct ids in [0, {n}): {name} id repeated")
+    if s.size and not (0 <= s.item(0) and s.item(-1) < n):
+        raise ValueError(f"{name} must hold distinct ids in [0, {n}): {name} id out of range")
+    return s if sort else ids
+
+
 def _usable_cpus() -> int:
     """The CPUs this process may run on."""
     try:
@@ -130,6 +153,7 @@ class ArmEnvironment:
 
     def __init__(self, instance: Instance, seed):
         self.instance = instance
+        self.n = instance.n
         if not isinstance(seed, np.random.SeedSequence):
             seed = np.random.SeedSequence(_integer("seed", seed, 0))
         reward_ss, algo_ss = seed.spawn(2)
@@ -139,10 +163,6 @@ class ArmEnvironment:
         self._algo_ss = algo_ss
         self.pull_counts = np.zeros(instance.n, dtype=np.int64)
         self._total = 0
-
-    @property
-    def n(self) -> int:
-        return self.instance.n
 
     def pull_many(self, arms: np.ndarray, m: int) -> np.ndarray:
         """Pull each arm in ``arms`` exactly ``m`` times (one vectorized request).
@@ -156,25 +176,23 @@ class ArmEnvironment:
                 a scalar, say), m not an integer, m < 1, or a pull count
                 that would pass 2^63 - 1.
         """
-        arms = _arm_ids(arms)
-        m = _integer("m", m, 1, _MAX_PULLS)
+        arms, m = _request(arms, m, self.n)
+        # No counter exceeds the total, so the counters are read only once
+        # the total could pass 2^63 - 1.
+        if self._total + m * arms.size > _MAX_PULLS:
+            ids, times = np.unique(arms, return_counts=True)
+            if np.any((_MAX_PULLS - self.pull_counts[ids]) // times < m):
+                raise ValueError(f"m must keep every pull count <= 2^63 - 1, got {m}")
         if arms.size == 1:
             # numpy's scalar draw takes the same value from the stream as its
             # array draw, at about 1.4 us against 10 us a call (2-core Xeon);
             # cb-ar pulls one arm per step.
-            arm = int(arms[0])
-            if not 0 <= arm < self.n:
-                raise IndexError("arm index out of range")
-            self._check_room(arms, m)
+            arm = arms.item(0)
             self.pull_counts[arm] += m
             self._total += m
             return np.array([self._rng.binomial(m, self.instance.means[arm])], dtype=np.int64)
         if arms.size == 0:
             return np.zeros(0, dtype=np.int64)
-        # One pass: a negative id wraps above n as unsigned.
-        if arms.view(np.uintp).max() >= self.n:
-            raise IndexError("arm index out of range")
-        self._check_room(arms, m)
         if arms.size > _CHUNK:
             sums = self._draw_chunks(arms, m)
         else:
@@ -218,15 +236,6 @@ class ArmEnvironment:
         else:
             draw()
         return sums
-
-    def _check_room(self, arms: np.ndarray, m: int) -> None:
-        """ValueError if pulling ``arms`` m times each would take a counter
-        past 2^63 - 1.  No counter exceeds the total, so the counters are
-        read only once the total could pass that."""
-        if self._total + m * arms.size > _MAX_PULLS:
-            ids, times = np.unique(arms, return_counts=True)
-            if np.any((_MAX_PULLS - self.pull_counts[ids]) // times < m):
-                raise ValueError(f"m must keep every pull count <= 2^63 - 1, got {m}")
 
     def total_pulls(self) -> int:
         """Exact total number of reward draws requested so far."""

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .env import _CHUNK, _arm_ids, _integer, _positive
+from .env import _CHUNK, _distinct_ids, _integer, _positive
 
 __all__ = [
     "HardnessReport",
@@ -172,19 +172,10 @@ def hardness(means: np.ndarray, K: int, epsilon: float) -> HardnessReport:
 
 
 def _selection(selected, K: int, n: int) -> np.ndarray:
-    """``selected`` as an intp array; ValueError unless it holds exactly K
-    distinct integer ids in [0, n), for K >= 1."""
-    # Float ids or a mask would be cast silently: reject them like arm ids.
-    sel = _arm_ids(selected if isinstance(selected, np.ndarray) else list(selected))
+    """``selected`` as an intp array; ValueError unless it is K distinct ids in [0, n)."""
+    sel = _distinct_ids("selected", selected if isinstance(selected, np.ndarray) else list(selected), n)
     if sel.size != K:
         raise ValueError(f"selected set has size {sel.size}, expected K={K}")
-    # Sorted as unsigned, a negative index wraps above n: the last entry
-    # checks the range, and equal neighbours are duplicates.
-    ids = np.sort(sel.view(np.uintp))
-    if np.any(ids[1:] == ids[:-1]):
-        raise ValueError("selected set contains duplicate ids")
-    if ids[-1] >= n:
-        raise ValueError("selected id out of range")
     return sel
 
 

@@ -1,6 +1,7 @@
 """Selection machinery built around approximate order-statistic estimation.
 
-Subroutines:
+Subroutines, each taking a set S of distinct integer ids in [0, n) and
+refusing any other S with a ValueError naming S before any pull:
   * ``est_kth_arm``: returns an arm whose true mean is close to the k-th
     largest in a set, via successive halving with shrinking error budgets.
   * ``eps_split``: same halving core used to split a set at the boundary
@@ -31,7 +32,7 @@ import math
 import numpy as np
 
 from .adaptive import SelectionResult, SelectionRun, _order_by_sums, _sorted_ids
-from .env import ComplementEnvironment, _arm_ids, _integer, _open, _positive
+from .env import ComplementEnvironment, _distinct_ids, _integer, _open, _positive
 
 __all__ = [
     "est_kth_arm",
@@ -82,6 +83,16 @@ def est_kth_arm_cost(size: int, k_target: int, tau: float, phi: float, delta: fl
     return sum(s * m for s, m in _halving_rounds(size, k_target, tau, phi, delta))
 
 
+def _gate(env, S, K: int, k_lo: int = 1, sort: bool = True, **probs) -> np.ndarray:
+    """S as an intp array, sorted if ``sort``, once S holds distinct ids in [0, n), K is an
+    integer in [k_lo, |S|] and each named probability lies in (0, 1)."""
+    arms = _distinct_ids("S", S, env.n, sort)
+    _integer("K", K, k_lo, len(arms))
+    for name, v in probs.items():
+        _open(name, v)
+    return arms
+
+
 def _halving(env, arms: np.ndarray, k_target: int, tau: float, phi: float, delta: float):
     """Successive halving keeping the top max(k_target, half) arms per round,
     on the schedule of :func:`_halving_rounds`.
@@ -92,7 +103,6 @@ def _halving(env, arms: np.ndarray, k_target: int, tau: float, phi: float, delta
     a round ranks its drops as it ranks its survivors.  The calibration pass
     of a set that already fits keeps the input order and drops nothing.
     """
-    arms = np.asarray(arms, dtype=np.intp)
     kept = np.arange(len(arms))
     dropped = []
     for size, m in _halving_rounds(len(arms), k_target, tau, phi, delta):
@@ -115,10 +125,7 @@ def est_kth_arm(env, S, K: int, tau: float, phi: float, delta: float, rng=None):
     Returns:
         (arm index, its latest empirical mean).
     """
-    arms = _arm_ids(S)
-    _integer("K", K, 1, len(arms))
-    for name, v in (("tau", tau), ("phi", phi), ("delta", delta)):
-        _open(name, v)
+    arms = _gate(env, S, K, sort=False, tau=tau, phi=phi, delta=delta)
     kept, means, _ = _halving(env, arms, K, tau, phi, delta)
     cut = _clamp(_round_half_down((1.0 - tau / 2.0) * K), 1, len(kept))
     cut_val = np.sort(means)[len(means) - cut]  # the cut-th largest mean
@@ -138,10 +145,7 @@ def eps_split(env, S, K: int, tau: float, phi: float, delta: float) -> np.ndarra
     2 * tau with probability at least 1 - delta (the precondition is not
     checkable from samples; harness code that knows the means enforces it).
     """
-    arms = np.sort(_arm_ids(S))
-    _integer("K", K, 1, len(arms))
-    for name, v in (("tau", tau), ("phi", phi), ("delta", delta)):
-        _open(name, v)
+    arms = _gate(env, S, K, tau=tau, phi=phi, delta=delta)
     if K == len(arms):
         return _sorted_ids(arms)
     k_target = _clamp(_round_half_up((1.0 - tau) * K), 1, K)
@@ -162,10 +166,7 @@ def elim_cost(size: int, gamma: float, phi: float, delta: float) -> int:
 
 
 def _elim_core(env, S, K: int, gamma: float, phi: float, delta: float, reverse: bool) -> np.ndarray:
-    arms = np.sort(_arm_ids(S))
-    _integer("K", K, 1, len(arms))  # K >= 1 also refuses an empty S
-    for name, v in (("gamma", gamma), ("phi", phi), ("delta", delta)):
-        _open(name, v)
+    arms = _gate(env, S, K, gamma=gamma, phi=phi, delta=delta)
     m = _elim_pulls(phi, gamma, delta)
     sums = env.pull_many(arms, m)
     # The complement sums m - sums rank the smallest means first, ties to
@@ -212,10 +213,8 @@ def opt_mai(env, S, K: int, epsilon: float, delta: float) -> np.ndarray:
     allocation-optimal selector it replaces, with an extra log|S| factor in
     the pull count.
     """
-    arms = np.sort(_arm_ids(S))
-    _integer("K", K, 0, len(arms))
     _positive("epsilon", epsilon)
-    _open("delta", delta)
+    arms = _gate(env, S, K, k_lo=0, delta=delta)
     if K in (0, len(arms)) or epsilon >= 1.0:
         return _sorted_ids(arms[:K])
     m = _opt_mai_pulls(len(arms), epsilon, delta)

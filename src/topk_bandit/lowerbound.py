@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import _MAX_PULLS, ArmEnvironment, EnvironmentView, Instance, _arm_ids, _integer, _open
+from .env import ArmEnvironment, EnvironmentView, Instance, _integer, _open, _request
 from .hardness import _selection
 
 __all__ = [
@@ -163,16 +163,13 @@ def optimal_coin_log_error(m: int, eta: float) -> float:
     The optimal strategy answers "unknown" inside the widest symmetric window
     whose mass stays within the give-up cap and names the bias by side
     otherwise; its error is the far-tail mass beyond the window, computed
-    here as a log-sum-exp of the binomial log-pmf over that tail (returns
-    -inf when the tail is empty).
+    here as a log-sum-exp of the binomial log-pmf over that tail.
     """
     _integer("m", m, 1)
     _open("eta", eta, 0.5)
     t, logpmf = _coin_threshold(m, eta)
-    hi = math.floor(0.5 * m + t)
-    if hi + 1 > m:
-        return float("-inf")
-    tail = logpmf[hi + 1 :]
+    # t < ceil(m/2), the half-width that holds all the mass: the tail holds count m.
+    tail = logpmf[math.floor(0.5 * m + t) + 1 :]
     top = float(tail.max())
     return top + math.log(np.exp(tail - top).sum())
 
@@ -197,11 +194,8 @@ class _CapWatchdog(EnvironmentView):
         self._cap = int(cap)
 
     def pull_many(self, arms, m: int):
-        # A malformed request is refused as the environment refuses it, not
-        # turned into a give-up by the cap test.
-        arms, m = _arm_ids(arms), _integer("m", m, 1, _MAX_PULLS)
-        if arms.size and arms.view(np.uintp).max() >= self._inner.n:
-            raise IndexError("arm index out of range")
+        # A malformed request is refused as the environment refuses it, before the cap test.
+        arms, m = _request(arms, m, self._inner.n)
         # An arm listed twice is pulled twice as often.
         hits = int(np.count_nonzero(arms == self._arm))  # Python ints: hits * m may pass 2^63
         if hits and int(self._inner.pull_counts[self._arm]) + hits * m > self._cap:

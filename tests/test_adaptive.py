@@ -28,6 +28,18 @@ class TestDegenerateCases:
         res = adaptive_topk(env, 0, 0.05, 0.1)
         assert res.selected.tolist() == [] and res.total_pulls == 0
 
+    @pytest.mark.parametrize("select", [
+        lambda env, K: adaptive_topk_fixed_budget(env, K, 100),
+        lambda env, K: uniform_topk(env, K, 100),
+        lambda env, K: cb_accept_reject_topk(env, K, 100),
+    ], ids=["adaptive-fb", "uniform", "cb-ar"])
+    @pytest.mark.parametrize("K", [0, 3])
+    def test_budgeted_selectors_take_k_zero_or_n_without_pulls(self, select, K):
+        env = make_env([0.2, 0.9, 0.4])
+        res = select(env, K)
+        assert res.selected.tolist() == list(range(K))
+        assert res.total_pulls == 0 and env.total_pulls() == 0
+
     def test_vacuous_tolerance_no_pulls(self):
         env = make_env([0.2, 0.9, 0.4], K=2)
         res = adaptive_topk(env, 2, 1.0, 0.1)

@@ -17,6 +17,7 @@ from topk_bandit import (
     check_c_spread,
     elim,
     eps_split,
+    est_kth_arm,
     gaps,
     gen_synthetic_p,
     gen_two_group,
@@ -29,6 +30,7 @@ from topk_bandit import (
     optimal_coin_log_error,
     psi_quantities,
     reduction_run,
+    reverse_elim,
     t_of,
     uniform_topk,
 )
@@ -101,6 +103,23 @@ CASES = {
     "aggregate-regret-neg-inf-means": ("means", lambda env: aggregate_regret(NEG_INF_MEANS, 1, [2])),
     "is-eps-top-k-nan-means": ("means", lambda env: is_eps_top_k(NAN_MEANS, 1, 0.1, [2])),
 }
+
+# Candidate sets S of the 10-arm environment that are not distinct ids in
+# [0, 10), and each improved subroutine on its pulling path and on its no-pull
+# shortcuts: K = |S| for eps_split and opt_mai, epsilon >= 1 for opt_mai.
+BAD_S = {"repeated": [0, 0, 1, 2], "negative": [3, -1, 4, 5], "past-the-end": [0, 1, 2, 10]}
+S_CALLS = {
+    "est-kth-arm": lambda env, S: est_kth_arm(env, S, 2, 0.1, 0.1, 0.1),
+    "eps-split": lambda env, S: eps_split(env, S, 2, 0.1, 0.1, 0.1),
+    "eps-split-whole-S": lambda env, S: eps_split(env, S, len(S), 0.1, 0.1, 0.1),
+    "elim": lambda env, S: elim(env, S, 2, 0.1, 0.1, 0.1),
+    "reverse-elim": lambda env, S: reverse_elim(env, S, 2, 0.1, 0.1, 0.1),
+    "opt-mai": lambda env, S: opt_mai(env, S, 2, 0.1, 0.1),
+    "opt-mai-whole-S": lambda env, S: opt_mai(env, S, len(S), 0.1, 0.1),
+    "opt-mai-epsilon-1": lambda env, S: opt_mai(env, S, 2, 1.0, 0.1),
+}
+CASES.update({f"{call}-{form}-S": ("S", lambda env, f=f, S=S: f(env, S))
+              for call, f in S_CALLS.items() for form, S in BAD_S.items()})
 
 
 @pytest.mark.parametrize("name, call", CASES.values(), ids=CASES.keys())

@@ -4,9 +4,9 @@ import json
 
 import pytest
 
-from topk_bandit.bench import ALGORITHMS
+from topk_bandit.bench import ALGORITHMS, default_budget_grid
 from topk_bandit.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from topk_bandit.instances import load_means
+from topk_bandit.instances import gen_two_group, load_means
 
 
 def run_cli(capsys, *argv):
@@ -98,6 +98,21 @@ def test_experiment_writes_deterministic_csv(capsys, tmp_path):
     assert header.startswith("algorithm,budget,trials,failures")
 
 
+def test_experiment_auto_budgets_and_json_mirror(capsys, tmp_path):
+    # "auto" runs the difficulty-scaled grid; --json-out mirrors the CSV.
+    mirror = tmp_path / "exp.json"
+    code, out, _ = run_cli(capsys, "experiment", "--instance", "two-group", "--n", "20", "--k", "5",
+                           "--epsilon", "0.05", "--budgets", "auto", "--trials", "2", "--seed", "3",
+                           "--algo", "uniform", "--json-out", str(mirror))
+    assert code == EXIT_OK
+    grid = default_budget_grid(gen_two_group(20, 5), 5, 0.05)
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [int(r["budget"]) for r in rows] == grid and len(grid) > 1
+    report = json.loads(mirror.read_text())
+    assert report["config"]["budgets"] == grid
+    assert [{k: str(v) for k, v in row.items()} for row in report["rows"]] == rows
+
+
 def test_experiment_config_file_with_flag_override(capsys, tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(
@@ -166,6 +181,18 @@ def test_bad_config_value_names_file_line_and_key(capsys, tmp_path, line, key):
     assert out == ""
 
 
+@pytest.mark.parametrize("line, message", [("trials 3", "expected 'key = value'"),
+                                           ("trails = 3", "unknown key 'trails'")],
+                         ids=["no-equals-sign", "unknown-key"])
+def test_malformed_config_line_names_file_and_line(capsys, tmp_path, line, message):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"instance = two-group\n{line}\nk = 3\n")
+    code, out, err = run_cli(capsys, "experiment", "--config", str(cfg))
+    assert code == EXIT_DATA
+    assert err == f"error: {cfg}:2: {message}\n"
+    assert out == ""
+
+
 def test_seed_env_fallback(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("TOPK_BANDIT_SEED", "777")
     code, out, _ = run_cli(capsys, "run", "--instance", "two-group", "--n", "10",
@@ -203,4 +230,13 @@ def test_negative_seed_from_environment_names_the_seed(capsys, monkeypatch):
                              "--k", "2", "--algo", "adaptive")
     assert code == EXIT_DATA
     assert "error: seed must be an integer >= 0, got -1" in err
+    assert out == ""
+
+
+def test_non_integer_seed_from_environment_is_a_data_error(capsys, monkeypatch):
+    monkeypatch.setenv("TOPK_BANDIT_SEED", "seven")
+    code, out, err = run_cli(capsys, "run", "--instance", "two-group", "--n", "10",
+                             "--k", "2", "--algo", "adaptive")
+    assert code == EXIT_DATA
+    assert "error: TOPK_BANDIT_SEED is not an integer: 'seven'" in err
     assert out == ""

@@ -220,8 +220,9 @@ def ref_cb_accept_reject_topk(env, K: int, budget: int, steps: list = None,
         tail = order[k_rem:]
         lcb = means - radius
         ucb = means + radius
-        new_accept = [int(u[i]) for i in head if lcb[i] > ucb[tail].max()]
-        new_reject = [int(u[i]) for i in tail if ucb[i] < lcb[head].min()]
+        tail_ucb, head_lcb = ucb[tail].max(), lcb[head].min()
+        new_accept = [int(u[i]) for i in head if lcb[i] > tail_ucb]
+        new_reject = [int(u[i]) for i in tail if ucb[i] < head_lcb]
         if new_accept or new_reject:
             if steps is not None:
                 steps.append((len(new_accept), len(new_reject)))

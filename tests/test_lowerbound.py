@@ -152,6 +152,14 @@ class TestReductionRun:
             assert reduction_run(_fixed_answer_algorithm(worst),
                                  12, 6, 0.1, 1.0, C=10**6, seed=seed) == "unknown"
 
+    def test_a_selection_of_the_coin_alone_answers_unknown(self):
+        # At n = 2 the one selected arm may be the coin: no arm of known value
+        # is left to verify the selection with.
+        for seed in range(4):
+            hard = make_hard_instance(2, 0.1, seed)
+            assert reduction_run(_fixed_answer_algorithm([hard.special_index]),
+                                 2, 1, 0.1, 4.0, C=10**6, seed=seed) == "unknown"
+
     def test_adaptive_reduction_smoke(self):
         outcomes = {"plus": 0, "minus": 0, "unknown": 0}
         correct = definite = 0
