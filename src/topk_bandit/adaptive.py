@@ -87,24 +87,13 @@ class SelectionRun:
         """Pulls made since construction."""
         return self.env.total_pulls() - self._start_total
 
-    def pulls(self, ids=None) -> np.ndarray:
-        """Per-arm pulls made since construction, of the arms ``ids`` (an
-        index array) or of every arm, as a new array."""
-        counts = self.env.pull_counts
-        if ids is None:
-            return counts.copy() if self._start is None else counts - self._start
-        out = counts[ids]
-        if self._start is not None:
-            out -= self._start[ids]
-        return out
-
     def result(self, selected, rounds_completed: int, accepted=(), rejected=()) -> SelectionResult:
         """Build the result from id arrays (or integer sequences) in any order."""
-        per_arm = self.pulls()
+        counts = self.env.pull_counts
         return SelectionResult(
             selected=_sorted_ids(selected),
             total_pulls=self.spent(),
-            per_arm_pulls=per_arm,
+            per_arm_pulls=counts.copy() if self._start is None else counts - self._start,
             rounds_completed=rounds_completed,
             accepted_early=_sorted_ids(accepted),
             rejected=_sorted_ids(rejected),
@@ -129,8 +118,8 @@ def _order_by_sums(sums: np.ndarray, m: int) -> np.ndarray:
     ``np.argsort(-(sums / m), kind="stable")`` (ties: lower position first).
 
     The one ranking of arms that share a pull count: the adaptive rounds,
-    the fixed-budget top-up, ``uniform_topk`` and the ``improved``
-    subroutines all use it.  Every arm had the same m pulls, so for integer
+    the even split of ``_spread`` and the ``improved`` subroutines all
+    use it.  Every arm had the same m pulls, so for integer
     sums in [0, m] with m < 2^53 the mean is strictly increasing in the sum,
     and the order is the stable ascending order of the exact integer key
     ``m - sums``.  One int64 subtract forms the key, and one unsigned max
@@ -159,6 +148,35 @@ def _order_by_sums(sums: np.ndarray, m: int) -> np.ndarray:
             words &= (1 << b) - 1
             return words
     return np.argsort(-(sums / m), kind="stable")
+
+
+def _spread(env, arms: np.ndarray, rest: int, P: int = 0, sums=None) -> np.ndarray:
+    """Pull each of ``arms`` q = rest // len(arms) times, the first
+    rest % len(arms) once more, and return the positions in ``arms`` best
+    first by mean over all pulls: ``uniform_topk``'s even split and the
+    fixed-budget top-up.  Each arm had P pulls before, with int64 reward
+    sums ``sums`` (aligned with ``arms``, added to in place; None for P = 0
+    and q >= 1).  Scaled to L = (P + q)(P + q + 1), a sum times L over its
+    pulls ranks as the mean, exactly while L < 2^53; past that the keys are
+    the float means.  With P + q = 0 an unpulled arm counts as pulled once,
+    and its sum 0 ranks it after the pulled arms of mean 0.
+    """
+    q, extra = divmod(rest, len(arms))
+    if q:
+        got = env.pull_many(arms, q)
+        sums = got if sums is None else np.add(sums, got, out=sums)
+        del got
+    if extra:
+        sums[:extra] += env.pull_many(arms[:extra], 1)
+    del arms  # uniform_topk's ids: the ranking needs none
+    lo, hi = max(P + q, 1), P + q + 1  # the pulls of arms[extra:] and of arms[:extra]
+    if lo * hi >= 1 << 53:
+        means = sums / lo
+        means[:extra] = sums[:extra] / hi
+        return _order_by_sums(means, 1)
+    sums[:extra] *= lo
+    sums[extra:] *= hi
+    return _order_by_sums(sums, lo * hi)
 
 
 def _commit_sweep(sums: np.ndarray, order: np.ndarray, m: int, k_rem: int,
@@ -281,43 +299,24 @@ def adaptive_topk_fixed_budget(env, K: int, budget: int, delta: float = 0.01,
     benchmark protocol); there is no confidence guarantee in this mode.
     """
     run = SelectionRun(env, K)
-    _integer("budget", budget, 1)
+    budget = _integer("budget", budget, 1)
     _open("delta", delta)
     if run.trivial():
         return run.result(range(K), 0)
 
-    # Reward sums of every pull of the run; ``run`` counts the pulls.
+    # Reward sums of every round's pulls, pooled in place (no gathered copy
+    # of sums[arms]); ``run`` counts the pulls.
     sums = np.zeros(env.n, dtype=np.int64)
-
-    def observe(arms, m, rewards):
-        np.add.at(sums, arms, rewards)  # in place: no gathered copy of sums[arms]
-
     accepted, rejected, survivors, k_rem, r = _round_loop(
-        env, K, delta, tuned, lambda r, k_rem, cost: cost <= budget - run.spent(), observe)
+        env, K, delta, tuned, lambda r, k_rem, cost: cost <= budget - run.spent(),
+        lambda arms, m, rewards: np.add.at(sums, arms, rewards))
     if k_rem >= 1 and len(survivors) > k_rem:
-        # The budget ran out first: spread the rest over the survivors and
-        # rank them by means pooled over every pull of the run.
-        q, extra = divmod(budget - run.spent(), len(survivors))
-        if q:
-            observe(survivors, q, env.pull_many(survivors, q))
-        if extra:
-            observe(survivors[:extra], 1, env.pull_many(survivors[:extra], 1))
-        # Every survivor was pulled P times, the first ``extra`` once more.
-        # Budget < n leaves P = 0: an unpulled arm counts as pulled once, and
-        # with sum 0 the stable tie-break ranks it after the pulled ones.
+        # The budget ran out first: spread the rest over the survivors, which
+        # every round pulled alike, and rank them by their pooled means.
         keys = sums[survivors]
-        del sums  # the run's n-length sums: no pull follows
-        pulls = run.pulls(survivors)
-        np.maximum(pulls, 1, out=pulls)
-        # On the common scale L, sums * (L / pulls) ranks as sums / pulls;
-        # L < 2^53 keeps those keys exact.
-        L = math.lcm(int(pulls[0]), int(pulls[-1]))
-        if L < 1 << 53:
-            keys *= np.floor_divide(L, pulls, out=pulls)
-        else:
-            keys, L = keys / pulls, 1
-        del pulls
-        order = _order_by_sums(keys, L)
+        del sums  # the run's n-length sums: no round follows
+        P = sum(_round_pulls(env.n, i, delta, tuned) for i in range(1, r + 1))
+        order = _spread(env, survivors, budget - run.spent(), P, keys)
         del keys
         survivors = survivors[order]
     return run.result(np.concatenate([accepted, survivors[:k_rem]]), r, accepted, rejected)

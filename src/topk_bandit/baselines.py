@@ -13,7 +13,7 @@ from bisect import bisect_left, bisect_right, insort
 
 import numpy as np
 
-from .adaptive import SelectionResult, SelectionRun, _order_by_sums
+from .adaptive import SelectionResult, SelectionRun, _spread
 from .env import _integer
 
 __all__ = ["uniform_topk", "cb_accept_reject_topk"]
@@ -24,15 +24,14 @@ _CB_C = 4.0
 
 
 def uniform_topk(env, K: int, budget: int) -> SelectionResult:
-    """Split the budget evenly, then take the K best empirical means."""
+    """Even split of the whole budget, then the K best empirical means: the
+    fixed-budget selector's top-up, run over every arm (the first
+    ``budget % n`` arms take one pull more)."""
     run = SelectionRun(env, K)
-    _integer("budget", budget, env.n)  # one pull per arm at least
+    budget = _integer("budget", budget, env.n)  # one pull per arm at least
     if run.trivial():
         return run.result(range(K), 1)
-    n = env.n
-    m = budget // n
-    order = _order_by_sums(env.pull_many(np.arange(n), m), m)
-    return run.result(order[:K], 1)
+    return run.result(_spread(env, np.arange(env.n), budget)[:K], 1)
 
 
 def cb_accept_reject_topk(env, K: int, budget: int) -> SelectionResult:

@@ -234,3 +234,9 @@ def test_results_count_only_the_runs_own_pulls(name):
         assert results[0].tolist() == results[1].tolist()
     else:
         assert results[0] == results[1]
+
+
+def test_result_is_not_equal_to_another_type():
+    env = ArmEnvironment(Instance(np.array([0.9, 0.1]), 1, 0.1, 0.1), seed=0)
+    res = adaptive_topk(env, 1, 0.1, 0.1)
+    assert res == res and res != res.selected.tolist() and res != "result"

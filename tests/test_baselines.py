@@ -36,10 +36,14 @@ class TestUniform:
         assert fails <= 4
 
     def test_budget_compliance_exact(self):
-        for budget in (7, 23, 101):
+        # The whole budget: q = budget // 4 pulls each, and one more for the
+        # first budget % 4 ids.
+        for budget in (7, 23, 100, 101):
             env = make_env([0.2, 0.5, 0.8, 0.4], K=2)
             res = uniform_topk(env, 2, budget)
-            assert res.total_pulls == (budget // 4) * 4 <= budget
+            q, extra = divmod(budget, 4)
+            assert res.total_pulls == budget
+            assert res.per_arm_pulls.tolist() == [q + 1] * extra + [q] * (4 - extra)
 
 
 class TestConfidenceBoundAcceptReject:

@@ -40,6 +40,24 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown algorithm"):
             run_experiment(small_config(algorithms=("nope",)))
 
+    def test_empty_budget_grid_rejected(self):
+        with pytest.raises(ValueError, match="budget grid must not be empty"):
+            small_config(budgets=())
+
+    def test_injected_algorithms_need_one_worker(self):
+        with pytest.raises(ValueError, match="injected algorithms require workers=1"):
+            run_experiment(small_config(algorithms=("first",), workers=2),
+                           algorithms={"first": lambda env, K, *rest: range(K)})
+
+
+def test_report_row_of_a_missing_cell_is_a_key_error():
+    report = run_experiment(small_config(trials=1))
+    assert report.row("adaptive-fb", 400)["budget"] == 400
+    for cell in (("adaptive-fb", 200), ("uniform", 100)):
+        with pytest.raises(KeyError) as info:
+            report.row(*cell)
+        assert info.value.args == (cell,)
+
 
 def test_resolve_means_generators_and_files(tmp_path):
     np.testing.assert_array_equal(resolve_means(small_config()), gen_two_group(20, 5))

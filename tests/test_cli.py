@@ -1,9 +1,13 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import topk_bandit
 from topk_bandit.bench import ALGORITHMS, default_budget_grid
 from topk_bandit.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from topk_bandit.instances import gen_two_group, load_means
@@ -161,6 +165,16 @@ def test_config_file_alone_supplies_instance_and_k(capsys, tmp_path):
     assert [(r["algorithm"], r["budget"], r["trials"]) for r in rows] == [("uniform", "60", "2")]
 
 
+def test_config_file_skips_blank_and_comment_lines(capsys, tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("# a small experiment\n\ninstance = two-group  # generator\n   \nn = 12\nk = 3\n"
+                   "  # indented comment\nbudgets = 60\ntrials = 2\nalgos = uniform\n")
+    code, out, _ = run_cli(capsys, "experiment", "--config", str(cfg))
+    assert code == EXIT_OK
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [(r["algorithm"], r["budget"], r["trials"]) for r in rows] == [("uniform", "60", "2")]
+
+
 @pytest.mark.parametrize("key, other", [("instance", "k = 3"), ("k", "instance = two-group")])
 def test_value_missing_from_flags_and_file_is_usage_error(capsys, tmp_path, key, other):
     cfg = tmp_path / "exp.cfg"
@@ -208,6 +222,36 @@ def test_lowerbound_csv(capsys, tmp_path):
     assert lines[0] == "m,error,log_error"
     m, err, log_err = lines[1].split(",")
     assert int(m) == 100 and 0 < float(err) < 1 and float(log_err) < 0
+
+
+@pytest.mark.parametrize("m", ["", " , "])
+def test_lowerbound_empty_m_is_a_data_error(capsys, m):
+    code, out, err = run_cli(capsys, "lowerbound", "--m", m)
+    assert code == EXIT_DATA
+    assert err == "error: --m must list at least one toss count\n"
+    assert out == ""
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["topk-bandit", "hardness", "--instance", "uniform",
+                                      "--n", "4", "--k", "2", "--epsilon", "0.25"])
+    assert main() == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["t"] == 1
+
+
+def test_module_runs_as_a_script():
+    # ``python -m topk_bandit.cli`` exits with main's code.
+    src = os.path.dirname(os.path.dirname(topk_bandit.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    args = ["hardness", "--instance", "uniform", "--n", "4", "--k", "2", "--epsilon", "0.25"]
+    done = subprocess.run([sys.executable, "-m", "topk_bandit.cli", *args], env=env,
+                          capture_output=True, text=True, check=False)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert json.loads(done.stdout)["t"] == 1
+    bad = subprocess.run([sys.executable, "-m", "topk_bandit.cli", "lowerbound", "--m", ""], env=env,
+                         capture_output=True, text=True, check=False)
+    assert bad.returncode == EXIT_DATA
 
 
 @pytest.mark.parametrize("argv, message", [

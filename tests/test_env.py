@@ -96,6 +96,20 @@ class TestPullBatch:
         assert make_env([0.1, 0.2]).total_pulls() == 0
 
 
+@pytest.mark.parametrize("means", [[], [[0.5, 0.5], [0.5, 0.5]]], ids=["empty", "2-d"])
+def test_instance_refuses_an_empty_or_2d_mean_vector(means):
+    with pytest.raises(ValueError, match="means must be a non-empty 1-D vector"):
+        Instance(np.asarray(means, dtype=float), 1, 0.1, 0.1)
+
+
+@pytest.mark.parametrize("count, usable", [(3, 3), (None, 1)])
+def test_usable_cpus_without_an_affinity_call(monkeypatch, count, usable):
+    # Platforms without sched_getaffinity count every CPU, and at least one.
+    monkeypatch.delattr(env_module.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(env_module.os, "cpu_count", lambda: count)
+    assert env_module._usable_cpus() == usable
+
+
 def test_determinism_same_seed_same_requests():
     means = [0.2, 0.5, 0.9]
     for seed in (0, 1, 99):

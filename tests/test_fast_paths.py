@@ -29,9 +29,10 @@ import topk_bandit.adaptive as adaptive_module
 import topk_bandit.improved as improved_module
 from topk_bandit.adaptive import (
     SelectionResult, SelectionRun, _commit_sweep, _order_by_sums, _round_loop, _sorted_ids,
-    adaptive_topk_fixed_budget,
+    _spread, adaptive_topk, adaptive_topk_fixed_budget,
 )
-from topk_bandit.baselines import _CB_C, cb_accept_reject_topk
+from topk_bandit.baselines import _CB_C, cb_accept_reject_topk, uniform_topk
+from topk_bandit.bench import ALGORITHMS
 from topk_bandit.env import ArmEnvironment, Instance, PullTrace, _arm_ids, _integer
 from topk_bandit.hardness import (
     HardnessReport, _require_sorted, gaps, hardness, psi_quantities, t_of,
@@ -298,6 +299,28 @@ def ref_adaptive_topk_fixed_budget(env, K: int, budget: int, delta: float = 0.01
     return run.result(np.concatenate([accepted, survivors[:k_rem]]), r, accepted, rejected)
 
 
+def ref_top_up(env, arms: np.ndarray, rest: int, P: int = 0, sums=None) -> np.ndarray:
+    """The even split as float means: arms that had P pulls with reward sums
+    ``sums`` get q = rest // len(arms) more, the first rest % len(arms) one
+    more again; an unpulled arm counts as pulled once."""
+    q, extra = divmod(rest, len(arms))
+    total = np.zeros(len(arms), dtype=np.int64) if sums is None else sums.copy()
+    pulls = np.full(len(arms), P + q, dtype=np.int64)
+    pulls[:extra] += 1
+    if q:
+        total += env.pull_many(arms, q)
+    if extra:
+        total[:extra] += env.pull_many(arms[:extra], 1)
+    return np.argsort(-(total / np.maximum(pulls, 1)), kind="stable")
+
+
+def ref_uniform_topk(env, K: int, budget: int) -> SelectionResult:
+    run = SelectionRun(env, K)
+    if run.trivial():
+        return run.result(range(K), 1)
+    return run.result(ref_top_up(env, np.arange(env.n), budget)[:K], 1)
+
+
 def ref_binomial_logpmf(m: int, p: float) -> np.ndarray:
     k = np.arange(m + 1, dtype=np.float64)
     return (gammaln(m + 1) - gammaln(k + 1) - gammaln(m - k + 1)
@@ -312,8 +335,9 @@ def ref_optimal_coin_log_error(m: int, eta: float):
     mass = np.cumsum(np.bincount((np.abs(2 * k - m) + 1) // 2, weights=np.exp(logpmf)))
     t = int(np.searchsorted(mass, GIVE_UP_RATE_CAP, side="right")) - 1
     hi = math.floor(0.5 * m + t)
-    if hi + 1 > m:
-        return t, float("-inf")
+    # The window of half-width ceil(m / 2) holds all the mass, so
+    # t <= ceil(m / 2) - 1 and the tail holds toss count m.
+    assert hi + 1 <= m, (m, t)
     return t, float(logsumexp(logpmf[hi + 1 :]))
 
 
@@ -840,6 +864,165 @@ def test_fixed_budget_top_up_matches_tally_reference_at_huge_pull_counts(budget)
     assert fast == slow and fast.total_pulls == budget
     assert _top_up_split(fast, traced.events, 3, 1, budget)[1] > 0
     _same_env_state(fast_env, slow_env)
+
+
+def test_fixed_budget_matches_tally_reference_past_one_chunk():
+    # The first round pulls all 2^16 + 3 arms; the second does not fit, so
+    # the survivors share the rest, drawn in chunks.
+    n = (1 << 16) + 3
+    means = np.round(np.random.default_rng(31).random(n), 2)
+    budget = oracle_round_pulls(n, 1, 0.01, False) * n + 1_001
+    fast_env, slow_env = _env(means, 100, 4), _env(means, 100, 4)
+    traced = PullTrace(fast_env)
+    fast = adaptive_topk_fixed_budget(traced, 100, budget)
+    assert fast == ref_adaptive_topk_fixed_budget(slow_env, 100, budget)
+    assert fast.rounds_completed == 1 and fast.total_pulls == budget
+    assert _top_up_split(fast, traced.events, n, 100, budget)[1] > 0
+    _same_env_state(fast_env, slow_env)
+
+
+# --- the even split: uniform_topk and the fixed-budget top-up ---------------
+
+def test_uniform_matches_float_reference():
+    rng = np.random.default_rng(29)
+    even = extra = 0
+    for seed in range(300):
+        n = int(rng.integers(2, 60))
+        means = np.round(rng.random(n), int(rng.integers(0, 3)))  # ties at 0-2 decimals
+        K = int(rng.integers(1, n))
+        if rng.random() < 0.3:
+            budget = n * int(rng.integers(1, 50))                    # whole sweeps
+        else:
+            budget = int(rng.integers(n, 50 * n))                    # leaves a remainder
+        fast_env, slow_env = _env(means, K, seed), _env(means, K, seed)
+        fast = uniform_topk(fast_env, K, budget)
+        assert fast == ref_uniform_topk(slow_env, K, budget), (seed, n, K, budget)
+        assert fast.total_pulls == budget
+        _same_env_state(fast_env, slow_env)
+        even += budget % n == 0
+        extra += budget % n > 0
+    assert even >= 50 and extra >= 150, (even, extra)
+
+
+@pytest.mark.parametrize("n, budget", [
+    ((1 << 16) + 3, 3 * ((1 << 16) + 3)),          # past one chunk, no remainder
+    ((1 << 16) + 3, 3 * ((1 << 16) + 3) + 4_321),  # past one chunk, a remainder
+    (3, 3 * 10**8),                                # P(P + 1) past 2^53, no remainder
+    (3, 3 * 10**8 + 1),                            # ... and a remainder
+    (3, 3 * 10**16 + 2),                           # P(P + 1) past 2^63
+])
+def test_uniform_matches_float_reference_at_scale(n, budget):
+    # Past 2^53 two means 10^-7 apart still rank apart.
+    means = np.array([0.5, 0.5, 0.5000001]) if n == 3 else \
+        np.round(np.random.default_rng(n).random(n), 2)
+    fast_env, slow_env = _env(means, 1, 8), _env(means, 1, 8)
+    fast = uniform_topk(fast_env, 1, budget)
+    assert fast == ref_uniform_topk(slow_env, 1, budget)
+    assert fast.total_pulls == budget
+    _same_env_state(fast_env, slow_env)
+
+
+@pytest.mark.parametrize("n, P, rest", [
+    (40, 0, 17),                      # P = 0, budget below n: unpulled arms count once
+    (40, 0, 40 * 7 + 3),              # P = 0, a remainder
+    (40, 25, 40 * 3),                 # no remainder
+    (40, 25, 40 * 3 + 39),            # a remainder
+    (40, 25, 0),                      # nothing left to spread
+    ((1 << 16) + 3, 9, 2 * (1 << 16) + 11),  # past one chunk
+    (40, 10**8, 40 * 3 + 5),          # P(P + 1) past 2^53
+    (40, 2**40, 40 * 10**6 + 5),      # past 2^63
+])
+def test_top_up_matches_float_reference(n, P, rest):
+    # The fixed-budget top-up on survivors in rank order, each with P pulls
+    # and binomial sums, against float means and a stable sort.
+    rng = np.random.default_rng(P + rest)
+    means = np.round(rng.random(n), 2)
+    arms = rng.permutation(n)[: max(2, n - 5)]
+    sums = rng.binomial(P, means[arms]).astype(np.int64)
+    fast_env, slow_env = _env(means, 1, 9), _env(means, 1, 9)
+    fast = _spread(fast_env, arms, rest, P, sums.copy())
+    assert np.array_equal(fast, ref_top_up(slow_env, arms, rest, P, sums))
+    _same_env_state(fast_env, slow_env)
+
+
+# --- pull accounting of the registry -----------------------------------------
+
+# The registry entries whose pulls follow a closed-form schedule, each called
+# as (env, K, epsilon, delta, budget) -> a result or the selected ids.
+ACCOUNTED = {
+    "adaptive": lambda env, K, eps, delta, budget: adaptive_topk(env, K, eps, delta),
+    "adaptive-fb": lambda env, K, eps, delta, budget:
+        adaptive_topk_fixed_budget(env, K, budget, delta=delta),
+    "adaptive-fb-tuned": lambda env, K, eps, delta, budget:
+        adaptive_topk_fixed_budget(env, K, budget, delta=delta, tuned=True),
+    "uniform": lambda env, K, eps, delta, budget: uniform_topk(env, K, budget),
+    "optmai": lambda env, K, eps, delta, budget: opt_mai(env, range(env.n), K, eps, delta),
+}
+
+
+def _oracle_requests(name, n, K, eps, delta, budget, events, result):
+    """(ids requested, pulls per id) of each request the oracles predict.
+    The rounds' sizes are read off the trace; everything else comes from the
+    transcribed schedules and the even-split rule."""
+    if name == "uniform":
+        q, extra = divmod(budget, n)
+        return [(n, q)] + ([(extra, 1)] if extra else [])
+    if name == "optmai":
+        return [] if eps >= 1 else [(n, oracle_opt_mai_pulls(n, eps, delta))]
+    tuned = name == "adaptive-fb-tuned"
+    R = result.rounds_completed
+    rounds = [(len(arms), oracle_round_pulls(n, r, delta, tuned))
+              for r, (arms, _, _) in enumerate(events[:R], 1)]
+    if name == "adaptive":
+        return rounds
+    split = _top_up_split(result, events, n, K, budget)
+    if split is None:
+        return rounds
+    undecided = n - len(result.accepted_early) - len(result.rejected)
+    # The next round did not fit the rest.
+    assert oracle_round_pulls(n, R + 1, delta, tuned) * undecided > budget - sum(
+        size * m for size, m in rounds)
+    q, extra = split
+    return rounds + ([(undecided, q)] if q else []) + ([(extra, 1)] if extra else [])
+
+
+def test_registry_pulls_match_the_schedule_oracles():
+    assert set(ACCOUNTED) < set(ALGORITHMS)
+    rng = np.random.default_rng(37)
+    spreads = Counter()
+    decided = Counter()
+    for seed in range(120):
+        n = int(rng.integers(2, 40))
+        means = np.round(rng.random(n), int(rng.integers(1, 3)))
+        K = int(rng.integers(1, n))
+        eps = float(rng.choice([0.05, 0.2, 1.5]))
+        delta = float(rng.choice([0.01, 0.1]))
+        budget = int(rng.integers(1, 3_000 * n))
+        for name, call in ACCOUNTED.items():
+            if name == "uniform" and budget < n:
+                continue
+            env = _env(means, K, seed)
+            traced = PullTrace(env)
+            out = call(traced, K, eps, delta, budget)
+            events = traced.events
+            assert [(len(a), m) for a, m, _ in events] == \
+                _oracle_requests(name, n, K, eps, delta, budget, events, out), (name, seed)
+            per_arm = np.zeros(n, dtype=np.int64)
+            for arms, m, _ in events:
+                np.add.at(per_arm, arms, m)
+            total = sum(len(a) * m for a, m, _ in events)
+            assert env.total_pulls() == total and np.array_equal(env.pull_counts, per_arm)
+            if isinstance(out, SelectionResult):
+                assert out.total_pulls == total and np.array_equal(out.per_arm_pulls, per_arm)
+            if name in ("adaptive-fb", "adaptive-fb-tuned", "uniform"):
+                spread = name == "uniform" or _top_up_split(out, events, n, K, budget) is not None
+                # A run that ends in a spread spends exactly its budget.
+                assert total == budget if spread else total <= budget, (name, seed)
+                spreads[name] += spread
+                decided[name] += not spread
+    # Both kinds of budgeted run occur: the tuned schedule decides most runs.
+    assert min(spreads.values()) >= 15, spreads
+    assert min(decided["adaptive-fb"], decided["adaptive-fb-tuned"]) >= 15, decided
 
 
 # --- the improved subroutines ----------------------------------------------

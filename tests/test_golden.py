@@ -166,10 +166,10 @@ EXPECTED = {
     "record-rounds": "4ad0de19fdd5fbe1df49fdd54de7bf6ffc493edd12a8c073f47fd44cca4497a0",
     "record-rounds-fixed-budget": "fdb5624500f5ac4d2f7fa949278d64947632faeecf4019c6e4b6b7da5f994e9c",
     "reduction-run": "f68763da33752b412e930a5f3049471d72eee11580b091699f003b5413422cf7",
-    "registry-csv": "7d20907b7e238495504ea27795950e2bcb1f26c74e93891724d7185b35117b9f",
+    "registry-csv": "6f253ed6b8210f96041b9c60c50da0d8bc05e6363fbdde49e80f6ae42ee32392",
     "shuffled-trial": "b761aa67522012fcd3f27c1779fd9ff67d27c9a78e76de08d8289f56dee2562a",
     "two-group-adaptive": "bb77840244d84a0877212bfedcee07e64aafea3e425f64fa2a1caa858701655a",
-    "uniform": "52e5c926bba08c00516715baaa25292d17454edfd200c8c2cf16341c4cf3c549",
+    "uniform": "b503027a56c71b5040b5185833b8f99cc691033c49eee9cec059bd802f5fd456",
 }
 
 

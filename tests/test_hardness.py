@@ -226,3 +226,9 @@ def test_scaling_ratio_grows_as_epsilon_shrinks():
     u = gen_uniform(1000)
     ratio = lambda e: (lambda r: r.h_0_eps / r.h_t_eps)(hardness(u, 500, e))
     assert ratio(0.0025) >= 2 * ratio(0.04)
+
+
+@pytest.mark.parametrize("means", [[], [[0.9, 0.1], [0.5, 0.5]]], ids=["empty", "2-d"])
+def test_hardness_refuses_an_empty_or_2d_mean_vector(means):
+    with pytest.raises(ValueError, match="means must be a non-empty 1-D vector"):
+        hardness(np.asarray(means, dtype=float), 1, 0.1)
