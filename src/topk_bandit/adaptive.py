@@ -124,17 +124,20 @@ def _order_by_sums(sums: np.ndarray, m: int) -> np.ndarray:
     and the order is the stable ascending order of the exact integer key
     ``m - sums``.  One int64 subtract forms the key, and one unsigned max
     over it checks the range: the subtract wraps modulo 2^64, so a sum below
-    0 or above m leaves a key that reads above m as unsigned.  The key is
-    shifted left past the b bits of the position and the position or-ed in
-    (past 2^16 arms 2^16 positions at a time, so the words are the only
-    n-length array; the many small rankings take all positions at once):
-    those int64 words are distinct, so any sort of them gives the stable
-    order, and the low b bits read it off.  Keys too wide for that, and any
-    other input, take the float sort.
+    0 or above m leaves a key that reads above m as unsigned.  A small
+    ranking (at most 2^16 arms) with m < 2^16 sorts the key as 16-bit
+    integers, which numpy's stable sort orders by radix in two passes.  Any
+    other key is shifted left past the b bits of the position and the
+    position or-ed in (past 2^16 arms 2^16 positions at a time, so the words
+    are the only n-length array): those int64 words are distinct, so any
+    sort of them gives the stable order, and the low b bits read it off.
+    Keys too wide for that, and any other input, take the float sort.
     """
     if sums.size and sums.dtype.kind in "iu" and 0 <= m < 1 << 53:
         words = np.subtract(m, sums, dtype=np.int64, casting="unsafe")
-        top = int(words.view(np.uint64).max())
+        top = int(np.maximum.reduce(words.view(np.uint64)))
+        if top <= m < 1 << 16 and sums.size <= _CHUNK:
+            return words.astype(np.uint16).argsort(kind="stable")
         b = (sums.size - 1).bit_length()
         if top <= m and top.bit_length() + b <= 63:
             words <<= b
@@ -204,13 +207,12 @@ def _commit_sweep(sums: np.ndarray, order: np.ndarray, m: int, k_rem: int,
 
     # Python scalars: sums and m are below 2^53, so the quotient is the same
     # float64 numpy would give, without a numpy scalar per probe.
-    def val(i):
-        return sums.item(order.item(i)) / m
-
-    a, b = val(k_rem), val(k_rem - 1)
-    n_acc = bisect_left(range(k_rem), True, key=lambda i: val(i) - a <= threshold)
+    item, at = sums.item, order.item
+    a, b = item(at(k_rem)) / m, item(at(k_rem - 1)) / m
+    n_acc = bisect_left(range(k_rem), True, key=lambda i: item(at(i)) / m - a <= threshold)
     limit = threshold if n_acc < k_rem else b - a
-    n_rej = size - k_rem - bisect_left(range(k_rem, size), True, key=lambda j: b - val(j) > limit)
+    n_rej = size - k_rem - bisect_left(range(k_rem, size), True,
+                                       key=lambda j: b - item(at(j)) / m > limit)
     return n_acc, n_rej
 
 
@@ -227,8 +229,9 @@ def _round_loop(env, K: int, delta: float, tuned: bool, more, observe=None):
     round's means (in input order when no round ran).
     """
     n = env.n
-    accepted: list = [np.empty(0, dtype=np.intp)]  # one id array per sweep
+    accepted: list = [np.empty(0, dtype=np.intp)]  # one id array per committing sweep
     rejected: list = [np.empty(0, dtype=np.intp)]
+    decided = 0  # the ids in accepted and rejected
     survivors = np.arange(n)
     r = 0
     k_rem = K
@@ -251,11 +254,15 @@ def _round_loop(env, K: int, delta: float, tuned: bool, more, observe=None):
         del order
         end = len(ranked) - n_rej
         # Copies: a view would keep the round's whole ranking alive.
-        accepted.append(ranked[:n_acc].copy())  # best first
-        rejected.append(ranked[end:][::-1].copy())  # worst first
+        if n_acc:
+            accepted.append(ranked[:n_acc].copy())  # best first
+            decided += len(accepted[-1])
+        if n_rej:
+            rejected.append(ranked[end:][::-1].copy())  # worst first
+            decided += len(rejected[-1])
         survivors = ranked[n_acc:end]
         k_rem -= n_acc
-        assert len(survivors) + sum(map(len, accepted)) + sum(map(len, rejected)) == n
+        assert len(survivors) + decided == n
     return np.concatenate(accepted), np.concatenate(rejected), survivors, k_rem, r
 
 

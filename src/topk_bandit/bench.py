@@ -7,6 +7,12 @@ dropping, or reordering grid points never changes another point's results,
 and every algorithm sees the same streams at the same cell (paired
 comparisons).  Fixed-confidence algorithms ignore the budget column and run
 to their own stopping rule; the budget is still reported alongside.
+
+The harness derives each cell's two seeds once for all algorithms and sums
+the true top K once per experiment; each run's environment gets a new copy
+of the cell's environment seed, since an environment spawns its streams
+from the seed it is given, which counts children on that seed (see
+:func:`run_experiment`).
 """
 
 from __future__ import annotations
@@ -21,8 +27,8 @@ import numpy as np
 
 from .adaptive import adaptive_topk, adaptive_topk_fixed_budget
 from .baselines import cb_accept_reject_topk, uniform_topk
-from .env import ArmEnvironment, Instance, _integer, _open, _positive
-from .hardness import aggregate_regret, hardness
+from .env import ArmEnvironment, Instance, _integer, _open, _positive, _reseeded
+from .hardness import _regret, _top_sum, aggregate_regret, hardness
 from .improved import improved_topk, opt_mai
 from .instances import gen_synthetic_p, gen_two_group, gen_uniform, load_means
 
@@ -201,12 +207,12 @@ def setup_trial(means, K, epsilon, delta, shuffle_seed, env_seed):
 
 def _trial_outcome(task):
     """Run one seeded trial; returns (regret, total_pulls)."""
-    means, K, epsilon, delta, algo_name, algo_fn, budget, trial, base_seed = task
-    shuffle_ss, env_ss = np.random.SeedSequence((base_seed, budget, trial)).spawn(2)
-    env, _, regret = setup_trial(means, K, epsilon, delta, shuffle_ss, env_ss)
+    means, K, epsilon, delta, best, algo_name, algo_fn, budget, shuffle_ss, env_ss = task
+    # A new copy of the cell's environment child: see run_experiment.
+    env, shuffled, _ = setup_trial(means, K, epsilon, delta, shuffle_ss, _reseeded(env_ss))
     selected = algo_fn(env, K, epsilon, delta, budget)
     try:
-        score = regret(selected)
+        score = _regret(shuffled, K, selected, best)
     except ValueError as exc:
         raise ValueError(f"{algo_name} returned a bad selection: {exc}") from None
     return score, env.total_pulls()
@@ -225,6 +231,15 @@ def run_experiment(config: ExperimentConfig, algorithms: dict = None) -> Experim
     regardless of worker count: each trial draws its streams from
     (base_seed, budget, trial) alone, and its result is stored under its
     (algorithm, budget, trial) cell and aggregated in the config's order.
+
+    The work around the runs is done once where it can be: each (budget,
+    trial) cell's two ``SeedSequence`` children, for the shuffle and the
+    environment, are derived once for every algorithm, and the sum of the
+    true top K once per experiment (``math.fsum`` rounds exactly, so no
+    shuffle changes it).  The shuffle only reads its child; the environment
+    spawns its streams from its seed, which counts the children on that
+    seed, so each trial's environment takes a new copy of the cell's child,
+    rebuilt from its entropy and spawn key.
     """
     registry = {name: select for name, (select, _) in ALGORITHMS.items()}
     if algorithms:
@@ -235,14 +250,17 @@ def run_experiment(config: ExperimentConfig, algorithms: dict = None) -> Experim
         if name not in registry:
             raise ValueError(f"unknown algorithm: {name!r}")
     means = resolve_means(config)
-    _integer("k", config.k, 1, means.size)
+    K = _integer("k", config.k, 1, means.size)
+    best = _top_sum(means, K)
 
+    seeds = {(budget, trial): np.random.SeedSequence((config.base_seed, budget, trial)).spawn(2)
+             for budget in config.budgets for trial in range(config.trials)}
     cells = [(algo_name, budget, trial)
              for algo_name in config.algorithms
              for budget in config.budgets
              for trial in range(config.trials)]
-    tasks = [(means, config.k, config.epsilon, config.delta, algo_name, registry[algo_name],
-              budget, trial, config.base_seed) for algo_name, budget, trial in cells]
+    tasks = [(means, K, config.epsilon, config.delta, best, algo_name, registry[algo_name],
+              budget, *seeds[budget, trial]) for algo_name, budget, trial in cells]
     if config.workers == 1:
         outcomes = dict(zip(cells, map(_trial_outcome, tasks)))
     else:

@@ -30,6 +30,7 @@ _MAX_PULLS = int(np.iinfo(np.int64).max)
 # A request of more ids than this draws in chunks of this many, each chunk
 # from its own stream.
 _CHUNK = 1 << 16
+_INTP = np.dtype(np.intp)
 
 
 @dataclass(frozen=True)
@@ -100,6 +101,30 @@ def _request(arms, m, n: int):
     if arms.size == 1 and not 0 <= arms.item(0) < n or arms.size > 1 and arms.view(np.uintp).max() >= n:
         raise IndexError("arm index out of range")
     return arms, m
+
+
+def _admit(arms, m, n: int):
+    """``_request(arms, m, n)``, with one test for the form every selector
+    sends: a non-empty 1-D intp array of ids in [0, n), checked as
+    ``_request`` checks them (one id by a scalar test, more by one unsigned
+    max), and an int m in [1, 2^63 - 1].  Any other request, an out-of-range
+    id in that form included, takes ``_request``'s checks and refusals."""
+    # Built-in dtypes are singletons; an equal descriptor that is another
+    # object (an unpickled array's, say) only takes the longer way.
+    if (type(arms) is np.ndarray and arms.dtype is _INTP and arms.ndim == 1
+            and type(m) is int and 0 < m <= _MAX_PULLS
+            and (0 <= arms.item(0) < n if arms.size == 1
+                 else arms.size and np.maximum.reduce(arms.view(np.uintp)) < n)):
+        return arms, m
+    return _request(arms, m, n)
+
+
+def _reseeded(ss: np.random.SeedSequence, *key: int) -> np.random.SeedSequence:
+    """A new SeedSequence with the entropy and pool size of ``ss`` and the
+    spawn key ``ss.spawn_key + key``: with no key a fresh copy of ``ss`` as
+    it was spawned, with key (j,) its child j.  ``spawn`` would count
+    children on ``ss`` itself."""
+    return np.random.SeedSequence(ss.entropy, spawn_key=ss.spawn_key + key, pool_size=ss.pool_size)
 
 
 def _distinct_ids(name: str, ids, n: int, sort: bool = False) -> np.ndarray:
@@ -176,7 +201,7 @@ class ArmEnvironment:
                 a scalar, say), m not an integer, m < 1, or a pull count
                 that would pass 2^63 - 1.
         """
-        arms, m = _request(arms, m, self.n)
+        arms, m = _admit(arms, m, self.n)
         # No counter exceeds the total, so the counters are read only once
         # the total could pass 2^63 - 1.
         if self._total + m * arms.size > _MAX_PULLS:
@@ -209,11 +234,9 @@ class ArmEnvironment:
         beside up to one helper thread per further usable CPU, each taking
         the next chunk index from one shared iterator."""
         chunks = -(-arms.size // _CHUNK)
-        ss = self._reward_ss
         while len(self._chunk_rngs) < chunks:
-            key = ss.spawn_key + (len(self._chunk_rngs),)
             self._chunk_rngs.append(np.random.default_rng(
-                np.random.SeedSequence(ss.entropy, spawn_key=key, pool_size=ss.pool_size)))
+                _reseeded(self._reward_ss, len(self._chunk_rngs))))
         means = self.instance.means
         sums = np.empty(arms.size, dtype=np.int64)
 

@@ -189,12 +189,23 @@ def aggregate_regret(means: np.ndarray, K: int, selected) -> float:
     """
     means = _vector(means)
     K = _integer("K", K, 1, means.size)
+    return _regret(means, K, selected, _top_sum(means, K))
+
+
+def _top_sum(means: np.ndarray, K: int) -> float:
+    """The sum of the K largest means, exactly rounded: the same under any
+    order of ``means``.  fsum rounds exactly and tied arms have equal means,
+    so any top-K partition sums alike; a memoryview passes fsum floats with
+    no list."""
+    return math.fsum(memoryview(np.partition(means, -K)[-K:]))
+
+
+def _regret(means: np.ndarray, K: int, selected, best: float) -> float:
+    """``aggregate_regret`` of ``selected`` (checked here) on checked means
+    and K whose top-K sum is ``best``: the one regret formula, shared with
+    the experiment harness, which sums the top K once per experiment."""
     sel = _selection(selected, K, means.size)
-    # fsum rounds exactly and tied arms have equal means, so any top-K
-    # partition sums alike; a memoryview passes fsum floats with no list.
-    best = math.fsum(memoryview(np.partition(means, -K)[-K:]))
-    shortfall = (best - math.fsum(memoryview(means[sel]))) / K
-    return max(0.0, shortfall)
+    return max(0.0, (best - math.fsum(memoryview(means[sel]))) / K)
 
 
 def is_eps_top_k(means: np.ndarray, K: int, epsilon: float, selected) -> bool:

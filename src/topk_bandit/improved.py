@@ -97,22 +97,23 @@ def _halving(env, arms: np.ndarray, k_target: int, tau: float, phi: float, delta
     """Successive halving keeping the top max(k_target, half) arms per round,
     on the schedule of :func:`_halving_rounds`.
 
-    Returns (kept, kept_means, dropped): ``kept`` holds the survivors'
-    positions in ``arms``, best first, ``kept_means`` their last means, and
-    ``dropped`` each round's dropped positions, best first, in round order;
-    a round ranks its drops as it ranks its survivors.  The calibration pass
-    of a set that already fits keeps the input order and drops nothing.
+    Returns (kept, kept_means, dropped): ``kept`` holds the surviving ids of
+    ``arms``, best first, ``kept_means`` their last means, and ``dropped``
+    each round's dropped ids, best first, in round order; a round ranks its
+    drops as it ranks its survivors.  The calibration pass of a set that
+    already fits keeps the input order and drops nothing.
     """
-    kept = np.arange(len(arms))
-    dropped = []
+    kept, head, dropped = arms, slice(None), []
     for size, m in _halving_rounds(len(arms), k_target, tau, phi, delta):
-        sums = env.pull_many(arms[kept], m)
+        sums = env.pull_many(kept, m)
         if size > k_target:
             order = _order_by_sums(sums, m)
-            cut = max(k_target, math.ceil(size / 2))
+            cut = max(k_target, (size + 1) // 2)
             dropped.append(kept[order[cut:]])
-            kept, sums = kept[order[:cut]], sums[order[:cut]]
-    return kept, sums / m, dropped
+            head = order[:cut]
+            kept = kept[head]
+    # Only the last round's sums are read: the survivors', in its ranking.
+    return kept, sums[head] / m, dropped
 
 
 def est_kth_arm(env, S, K: int, tau: float, phi: float, delta: float, rng=None):
@@ -126,13 +127,19 @@ def est_kth_arm(env, S, K: int, tau: float, phi: float, delta: float, rng=None):
         (arm index, its latest empirical mean).
     """
     arms = _gate(env, S, K, sort=False, tau=tau, phi=phi, delta=delta)
-    kept, means, _ = _halving(env, arms, K, tau, phi, delta)
+    kept, means, dropped = _halving(env, arms, K, tau, phi, delta)
     cut = _clamp(_round_half_down((1.0 - tau / 2.0) * K), 1, len(kept))
-    cut_val = np.sort(means)[len(means) - cut]  # the cut-th largest mean
-    candidates = np.flatnonzero(means <= cut_val)
+    # The candidates are the means at most the cut-th largest, one of them
+    # drawn uniformly.  After a sorting round the means are ranked, largest
+    # first, and the candidates are a suffix.
     rng = rng if rng is not None else env.spawn_rng()
-    pick = int(candidates[rng.integers(len(candidates))])
-    return int(arms[kept[pick]]), float(means[pick])
+    if dropped:
+        first = int(np.count_nonzero(means > means[cut - 1]))
+        pick = first + int(rng.integers(len(means) - first))
+    else:
+        candidates = np.flatnonzero(means <= np.sort(means)[len(means) - cut])
+        pick = int(candidates[rng.integers(len(candidates))])
+    return int(kept[pick]), float(means[pick])
 
 
 def eps_split(env, S, K: int, tau: float, phi: float, delta: float) -> np.ndarray:
@@ -151,7 +158,7 @@ def eps_split(env, S, K: int, tau: float, phi: float, delta: float) -> np.ndarra
     k_target = _clamp(_round_half_up((1.0 - tau) * K), 1, K)
     kept, _, dropped = _halving(env, arms, k_target, tau, phi, delta)
     # At most K arms survive, and "any arms" would do for the contract.
-    return _sorted_ids(arms[np.concatenate([kept, *reversed(dropped)])[:K]])
+    return _sorted_ids(np.concatenate([kept, *reversed(dropped)])[:K])
 
 
 def _elim_pulls(phi: float, gamma: float, delta: float) -> int:

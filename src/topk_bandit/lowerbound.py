@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import ArmEnvironment, EnvironmentView, Instance, _integer, _open, _request
+from .env import ArmEnvironment, EnvironmentView, Instance, _admit, _integer, _open
 from .hardness import _selection
 
 __all__ = [
@@ -195,7 +195,7 @@ class _CapWatchdog(EnvironmentView):
 
     def pull_many(self, arms, m: int):
         # A malformed request is refused as the environment refuses it, before the cap test.
-        arms, m = _request(arms, m, self._inner.n)
+        arms, m = _admit(arms, m, self._inner.n)
         # An arm listed twice is pulled twice as often.
         hits = int(np.count_nonzero(arms == self._arm))  # Python ints: hits * m may pass 2^63
         if hits and int(self._inner.pull_counts[self._arm]) + hits * m > self._cap:

@@ -230,6 +230,79 @@ def test_refused_array_request_counts_nothing(view, arms):
     assert env.pull_many([0, 1, 2], 9).tolist() == fresh.pull_many([0, 1, 2], 9).tolist()
 
 
+# The pull gate admits the form every selector sends, a non-empty 1-D intp
+# array of ids in range and an int m in [1, 2^63 - 1], with one test; every
+# other request takes _request's checks.  Each request below must be
+# accepted or refused, with the same error, exactly as _request accepts or
+# refuses it, by the environment and by every view.
+GATE_IDS = {
+    "intp": np.array([2, 0, 2], dtype=np.intp),
+    "int32": np.array([2, 0], dtype=np.int32),
+    "uint64": np.array([1, 2], dtype=np.uint64),
+    "list": [2, 1],
+    "bool-mask": np.array([True, False, True]),
+    "2-d": np.array([[0, 1], [1, 2]], dtype=np.intp),
+    "empty": np.array([], dtype=np.intp),
+    "one-id": np.array([1], dtype=np.intp),
+    "id-minus-one": np.array([0, -1], dtype=np.intp),
+    "one-id-minus-one": np.array([-1], dtype=np.intp),
+    "id-n": np.array([0, 3], dtype=np.intp),
+    "one-id-n": np.array([3], dtype=np.intp),
+}
+GATE_MS = {"int": 3, "np-int64": np.int64(3), "bool": True, "float": 3.0, "zero": 0, "2^63": 2**63}
+
+
+def _outcome(call):
+    """("ok", value) or the exception's type and message."""
+    try:
+        return "ok", call()
+    except (ValueError, IndexError) as exc:
+        return type(exc), str(exc)
+
+
+@VIEWS
+@pytest.mark.parametrize("m_name", list(GATE_MS))
+@pytest.mark.parametrize("ids_name", list(GATE_IDS))
+def test_pull_gate_accepts_and_refuses_as_request_does(monkeypatch, view, ids_name, m_name):
+    arms, m = GATE_IDS[ids_name], GATE_MS[m_name]
+    means = [0.2, 0.5, 0.8]
+    env, twin = make_env(means, seed=5), make_env(means, seed=5)
+    request = env_module._request
+    expected = _outcome(lambda: request(arms, m, 3))
+    # The one test admits the selector form alone, as given; the rest goes
+    # on to _request.
+    slow = []
+    monkeypatch.setattr(env_module, "_request", lambda *a: slow.append(1) or request(*a))
+    admitted = _outcome(lambda: env_module._admit(arms, m, 3))
+    selector_form = ids_name in ("intp", "one-id") and m_name == "int"
+    assert not slow if selector_form else slow
+    if expected[0] == "ok":
+        (got_arms, got_m), (ref_arms, ref_m) = admitted[1], expected[1]
+        assert got_arms.tolist() == ref_arms.tolist() and got_m == ref_m and type(got_m) is int
+        assert got_arms.dtype == np.intp and (got_arms is arms or not selector_form)
+    else:
+        assert admitted == expected
+    got = _outcome(lambda: view(env).pull_many(arms, m))
+    if expected[0] == "ok":
+        # Drawn and counted as the checked request it is.
+        assert got[0] == "ok"
+        assert got[1].tolist() == view(twin).pull_many(*expected[1]).tolist()
+    else:
+        assert got == expected
+        assert env.total_pulls() == 0 and not env.pull_counts.any()
+    # Counters, total and stream position as the twin's.
+    assert env.pull_counts.tolist() == twin.pull_counts.tolist()
+    assert env.total_pulls() == twin.total_pulls()
+    assert env.pull_many([0, 1, 2], 9).tolist() == twin.pull_many([0, 1, 2], 9).tolist()
+
+
+def test_pull_gate_table_has_accepted_and_refused_requests():
+    outcomes = [_outcome(lambda: env_module._request(arms, m, 3))[0]
+                for arms in GATE_IDS.values() for m in GATE_MS.values()]
+    assert outcomes.count("ok") == 12
+    assert outcomes.count(IndexError) == 8 and outcomes.count(ValueError) == 52
+
+
 def test_pull_totals_are_exact_past_2_63():
     # Each counter fits an int64, but the totals of a run are Python ints.
     means = np.linspace(0.9, 0.1, 1000)

@@ -20,6 +20,7 @@ derived from the rounding of each form.
 
 import math
 from collections import Counter
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -32,7 +33,9 @@ from topk_bandit.adaptive import (
     _spread, adaptive_topk, adaptive_topk_fixed_budget,
 )
 from topk_bandit.baselines import _CB_C, cb_accept_reject_topk, uniform_topk
-from topk_bandit.bench import ALGORITHMS
+from topk_bandit.bench import (
+    ALGORITHMS, ExperimentConfig, ExperimentReport, resolve_means, run_experiment, setup_trial,
+)
 from topk_bandit.env import ArmEnvironment, Instance, PullTrace, _arm_ids, _integer
 from topk_bandit.hardness import (
     HardnessReport, _require_sorted, gaps, hardness, psi_quantities, t_of,
@@ -511,16 +514,19 @@ def ref_hardness(means: np.ndarray, K: int, epsilon: float) -> HardnessReport:
 
 # --- _order_by_sums ---------------------------------------------------------
 
-# In-range integer sums take the int64 words; at 2^53 - 1 some take the
+# In-range integer sums take the 16-bit keys below m = 2^16 (65535 is the
+# last such m) and the int64 words from 2^16 on; at 2^53 - 1 some take the
 # float sort, where the largest key m - min(sums) and the position need 64
 # bits; at 2^60 + 1 all do, as near m the floats of distinct sums tie.
 ORDER_MS = [1, 2, 77, 65535, 65536, 10**6, 2**40, 2**53 - 1, 2**60 + 1]
 
 
 def _order_branch(sums: np.ndarray, m: int) -> str:
-    """The sort _order_by_sums is meant to take: "word" or "float"."""
+    """The sort _order_by_sums is meant to take: "key16", "word" or "float"."""
     if not (sums.size and sums.dtype.kind in "iu" and m < 2**53 and 0 <= sums.min() and sums.max() <= m):
         return "float"
+    if m < 2**16 and sums.size <= 2**16:
+        return "key16"
     top = m - int(sums.min())  # the largest key m - sums
     return "word" if top.bit_length() + (sums.size - 1).bit_length() <= 63 else "float"
 
@@ -585,24 +591,26 @@ def test_order_by_sums_matches_float_sort_past_one_chunk():
 
 
 def test_order_by_sums_cases_reach_every_branch(monkeypatch):
-    # The float sort is the one np.argsort call: count it to see the branch taken.
+    # The float sort is the one np.argsort call and the word sort the one
+    # np.arange call: count them to see the branch taken.
     calls = []
-    argsort = np.argsort
-    monkeypatch.setattr(np, "argsort", lambda *a, **kw: calls.append(1) or argsort(*a, **kw))
+    argsort, arange = np.argsort, np.arange
+    monkeypatch.setattr(np, "argsort", lambda *a, **kw: calls.append("float") or argsort(*a, **kw))
+    monkeypatch.setattr(np, "arange", lambda *a, **kw: calls.append("word") or arange(*a, **kw))
     counts = {}
     for m in ORDER_MS:
         counts[m] = Counter()
         for sums in _order_cases(m):
             calls.clear()
             _order_by_sums(sums, m)
-            taken = "float" if calls else "word"
+            taken = calls[0] if calls else "key16"
             assert taken == _order_branch(sums, m), (m, sums.dtype, sums[:10])
             counts[m][taken] += 1
-    assert {m: (c["word"], c["float"]) for m, c in counts.items()} == {
-        1: (40, 36), 2: (40, 36), 77: (40, 36), 65535: (40, 36),
-        65536: (40, 36), 10**6: (40, 36), 2**40: (35, 36),
-        2**53 - 1: (28, 43),  # 7 in-range cases need 64 bits
-        2**60 + 1: (0, 71),
+    assert {m: (c["key16"], c["word"], c["float"]) for m, c in counts.items()} == {
+        1: (40, 0, 36), 2: (40, 0, 36), 77: (40, 0, 36), 65535: (40, 0, 36),
+        65536: (0, 40, 36), 10**6: (0, 40, 36), 2**40: (0, 35, 36),
+        2**53 - 1: (0, 28, 43),  # 7 in-range cases need 64 bits
+        2**60 + 1: (0, 0, 71),
     }
 
 
@@ -1025,6 +1033,96 @@ def test_registry_pulls_match_the_schedule_oracles():
     assert min(decided["adaptive-fb"], decided["adaptive-fb-tuned"]) >= 15, decided
 
 
+# --- the experiment harness ------------------------------------------------
+
+def ref_trial_outcome(task):
+    means, K, epsilon, delta, algo_name, algo_fn, budget, trial, base_seed = task
+    shuffle_ss, env_ss = np.random.SeedSequence((base_seed, budget, trial)).spawn(2)
+    env, _, regret = setup_trial(means, K, epsilon, delta, shuffle_ss, env_ss)
+    selected = algo_fn(env, K, epsilon, delta, budget)
+    try:
+        score = regret(selected)
+    except ValueError as exc:
+        raise ValueError(f"{algo_name} returned a bad selection: {exc}") from None
+    return score, env.total_pulls()
+
+
+def ref_run_experiment(config, algorithms=None) -> ExperimentReport:
+    # One process: the report is the same for every worker count.
+    registry = {name: select for name, (select, _) in ALGORITHMS.items()}
+    registry.update(algorithms or {})
+    means = resolve_means(config)
+    cells = [(algo_name, budget, trial)
+             for algo_name in config.algorithms
+             for budget in config.budgets
+             for trial in range(config.trials)]
+    tasks = [(means, config.k, config.epsilon, config.delta, algo_name, registry[algo_name],
+              budget, trial, config.base_seed) for algo_name, budget, trial in cells]
+    outcomes = dict(zip(cells, map(ref_trial_outcome, tasks)))
+    rows = []
+    for algo_name in config.algorithms:
+        for budget in config.budgets:
+            regrets = np.array([outcomes[(algo_name, budget, t)][0] for t in range(config.trials)])
+            pulls = np.array([outcomes[(algo_name, budget, t)][1] for t in range(config.trials)])
+            failures = int(np.sum(regrets > config.epsilon))
+            rows.append({
+                "algorithm": algo_name,
+                "budget": int(budget),
+                "trials": config.trials,
+                "failures": failures,
+                "failure_probability": failures / config.trials,
+                "mean_regret": float(np.mean(regrets)),
+                "regret_std": float(np.std(regrets)),
+                "mean_total_pulls": float(np.mean(pulls)),
+            })
+    cfg = asdict(config)
+    del cfg["workers"]
+    return ExperimentReport(rows=rows, config=cfg)
+
+
+def _pull_once(env, K, epsilon, delta, budget):
+    """An injected algorithm: one pull of every arm, the K best as a set of
+    Python ints, the form the benchmark's wrappers return."""
+    sums = env.pull_many(np.arange(env.n), 1)
+    return frozenset(np.argsort(-sums, kind="stable")[:K].tolist())
+
+
+def _harness_configs(tmp_path):
+    tied = tmp_path / "tied.txt"  # the top-6 boundary cuts a run of ten equal means
+    tied.write_text("\n".join(["0.8"] * 4 + ["0.6"] * 10 + ["0.3"] * 16) + "\n")
+    common = dict(k=6, n=30, epsilon=0.1, delta=0.1, budgets=(60, 300), trials=3)
+    return [ExperimentConfig(instance="two-group", base_seed=1, **common),
+            ExperimentConfig(instance="uniform", base_seed=2, **common),
+            ExperimentConfig(instance="synthetic", p=0.5, base_seed=3, **common),
+            ExperimentConfig(instance=str(tied), base_seed=4, **common)]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_experiment_matches_the_per_cell_harness(tmp_path, workers):
+    # Seeds derived once per cell and the top-K sum once per experiment must
+    # write the reports of a fresh set-up and score per trial, byte for byte.
+    injected = {"pull-once": _pull_once} if workers == 1 else {}  # a lambda-free pool
+    for config in _harness_configs(tmp_path):
+        config = replace(config, algorithms=tuple(ALGORITHMS) + tuple(injected), workers=workers)
+        fast = run_experiment(config, algorithms=injected or None)
+        slow = ref_run_experiment(config, algorithms=injected)
+        assert fast.to_csv() == slow.to_csv(), config.instance
+        assert fast.to_json() == slow.to_json(), config.instance
+
+
+@pytest.mark.parametrize("selection", [[0, 1, 2, 3, 4], [0, 1, 2, 3, 4, 4], [-1, 0, 1, 2, 3, 4],
+                                       [0, 1, 2, 3, 4, 30], [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]],
+                         ids=["too-short", "duplicate", "negative", "past-the-end", "float-ids"])
+def test_bad_selection_is_refused_as_the_per_cell_harness_refuses(tmp_path, selection):
+    config = replace(_harness_configs(tmp_path)[0], algorithms=("bad-pick",), trials=1)
+    bad = {"bad-pick": lambda env, K, epsilon, delta, budget: selection}
+    with pytest.raises(ValueError, match="^bad-pick returned a bad selection: ") as fast:
+        run_experiment(config, algorithms=bad)
+    with pytest.raises(ValueError) as slow:
+        ref_run_experiment(config, algorithms=bad)
+    assert str(fast.value) == str(slow.value)
+
+
 # --- the improved subroutines ----------------------------------------------
 
 def _log_uniform(rng, lo: float, hi: float) -> float:
@@ -1058,20 +1156,21 @@ def test_halving_matches_loop():
         fast_env, slow_env = _env(means, 1, seed), _env(means, 1, seed)
         kept, kept_means, dropped = _halving(fast_env, arms, k_target, tau, phi, delta)
         R, R_means, drops, ref_pulls = ref_halving(slow_env, arms, k_target, tau, phi, delta)
-        assert arms[kept].tolist() == R.tolist()
+        assert kept.tolist() == R.tolist()
         assert kept_means.tolist() == R_means.tolist()
         # Round by round, the same arms are dropped in the same order.
-        assert [arms[d].tolist() for d in dropped] == [d.tolist() for d in drops]
-        # The kept and dropped positions cover the input exactly once.
-        assert sorted(np.concatenate([kept, *dropped]).tolist()) == list(range(len(arms)))
+        assert [d.tolist() for d in dropped] == [d.tolist() for d in drops]
+        # The kept and dropped ids cover the input exactly once.
+        assert sorted(np.concatenate([kept, *dropped]).tolist()) == arms.tolist()
         # The schedule: an arm dropped in round i was pulled in rounds 0 to
         # i, a survivor in every round, and every sorting round drops arms.
         schedule = oracle_halving_rounds(len(arms), k_target, tau, phi, delta)
         pulled_by = np.cumsum([m for _, m in schedule])
-        expected = np.full(len(arms), pulled_by[-1])
+        expected = np.zeros(fast_env.n, dtype=np.int64)
+        expected[arms] = pulled_by[-1]
         for i, d in enumerate(dropped):
             expected[d] = pulled_by[i]
-        assert fast_env.pull_counts[arms].tolist() == expected.tolist()
+        assert fast_env.pull_counts.tolist() == expected.tolist()
         assert len(dropped) == sum(size > k_target for size, _ in schedule)
         assert fast_env.total_pulls() == ref_pulls
         _same_env_state(fast_env, slow_env)
