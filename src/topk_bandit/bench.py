@@ -8,11 +8,12 @@ and every algorithm sees the same streams at the same cell (paired
 comparisons).  Fixed-confidence algorithms ignore the budget column and run
 to their own stopping rule; the budget is still reported alongside.
 
-The harness derives each cell's two seeds once for all algorithms and sums
-the true top K once per experiment; each run's environment gets a new copy
-of the cell's environment seed, since an environment spawns its streams
-from the seed it is given, which counts children on that seed (see
-:func:`run_experiment`).
+The harness builds each (budget, trial) cell once for all algorithms where
+it can: its two seeds always, and in one process its shuffled instance too,
+while the held instances fit in ``_CELL_BYTES``.  Every run still gets a
+fresh environment, built on the cell's environment seed as it is: an
+environment reads its streams off the seed's key and spawns nothing on it.
+The true top K is summed once per experiment (see :func:`run_experiment`).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .adaptive import adaptive_topk, adaptive_topk_fixed_budget
 from .baselines import cb_accept_reject_topk, uniform_topk
-from .env import ArmEnvironment, Instance, _integer, _open, _positive, _reseeded
+from .env import ArmEnvironment, Instance, _integer, _open, _positive
 from .hardness import _regret, _top_sum, aggregate_regret, hardness
 from .improved import improved_topk, opt_mai
 from .instances import gen_synthetic_p, gen_two_group, gen_uniform, load_means
@@ -55,6 +56,11 @@ CSV_COLUMNS = [
 ]
 
 GENERATORS = ("two-group", "uniform", "synthetic")
+
+# The most bytes of shuffled means a one-process experiment holds for its
+# later runs: 2 097 cells at n = 1000.  Past it each run rebuilds its cell,
+# so memory does not grow with budgets x trials x n.
+_CELL_BYTES = 16 << 20
 
 
 def _run_adaptive(env, K, epsilon, delta, budget):
@@ -188,34 +194,61 @@ def default_budget_grid(means: np.ndarray, K: int, epsilon: float) -> list:
     return sorted({max(n, int(round(c * h))) for c in (1, 2, 5, 10, 25, 50)})
 
 
+def _shuffled_instance(means, K, epsilon, delta, shuffle_seed) -> Instance:
+    """A trial's instance: ``means`` under the hidden arm shuffle that
+    ``shuffle_seed`` draws."""
+    means = np.asarray(means, dtype=np.float64)
+    return Instance(means[np.random.default_rng(shuffle_seed).permutation(means.size)],
+                    K, epsilon, delta)
+
+
 def setup_trial(means, K, epsilon, delta, shuffle_seed, env_seed):
     """One trial's setup: a hidden shuffle of arm identities, a seeded
     environment over the shuffled means, and a regret scorer.
 
     Returns (env, shuffled_means, regret) where ``regret(selected)`` is the
-    aggregate regret of a selection given as environment arm indices.
+    aggregate regret of a selection given as environment arm indices.  The
+    shuffled means are the environment's instance's, read-only.  The
+    experiment harness builds its trials the same way.
     """
-    means = np.asarray(means, dtype=np.float64)
-    shuffled = means[np.random.default_rng(shuffle_seed).permutation(means.size)]
-    env = ArmEnvironment(Instance(shuffled, K, epsilon, delta), seed=env_seed)
+    instance = _shuffled_instance(means, K, epsilon, delta, shuffle_seed)
+    env = ArmEnvironment(instance, seed=env_seed)
 
     def regret(selected) -> float:
-        return aggregate_regret(shuffled, K, selected)
+        return aggregate_regret(instance.means, K, selected)
 
-    return env, shuffled, regret
+    return env, instance.means, regret
 
 
-def _trial_outcome(task):
-    """Run one seeded trial; returns (regret, total_pulls)."""
+def _trial_outcome(task, instance=None):
+    """Run one seeded trial; returns (regret, total_pulls).  ``instance`` is
+    the cell's shuffled instance when the caller holds it, else it is built
+    from the task."""
     means, K, epsilon, delta, best, algo_name, algo_fn, budget, shuffle_ss, env_ss = task
-    # A new copy of the cell's environment child: see run_experiment.
-    env, shuffled, _ = setup_trial(means, K, epsilon, delta, shuffle_ss, _reseeded(env_ss))
+    if instance is None:
+        instance = _shuffled_instance(means, K, epsilon, delta, shuffle_ss)
+    env = ArmEnvironment(instance, seed=env_ss)
     selected = algo_fn(env, K, epsilon, delta, budget)
     try:
-        score = _regret(shuffled, K, selected, best)
+        score = _regret(instance.means, K, selected, best)
     except ValueError as exc:
         raise ValueError(f"{algo_name} returned a bad selection: {exc}") from None
     return score, env.total_pulls()
+
+
+def _serial_outcomes(cells, tasks, held_cells: int):
+    """``_trial_outcome`` of each task in order, in this process.  The first
+    ``held_cells`` (budget, trial) cells reached keep their shuffled instance
+    for every later run on them; any other cell is rebuilt for each run."""
+    held = {}
+    for (_, budget, trial), task in zip(cells, tasks):
+        instance = held.get((budget, trial))
+        if instance is None:
+            means, K, epsilon, delta, *_, shuffle_ss, _ = task
+            instance = _shuffled_instance(means, K, epsilon, delta, shuffle_ss)
+            if len(held) < held_cells:
+                held[budget, trial] = instance
+        yield _trial_outcome(task, instance)
 
 
 def run_experiment(config: ExperimentConfig, algorithms: dict = None) -> ExperimentReport:
@@ -236,10 +269,14 @@ def run_experiment(config: ExperimentConfig, algorithms: dict = None) -> Experim
     trial) cell's two ``SeedSequence`` children, for the shuffle and the
     environment, are derived once for every algorithm, and the sum of the
     true top K once per experiment (``math.fsum`` rounds exactly, so no
-    shuffle changes it).  The shuffle only reads its child; the environment
-    spawns its streams from its seed, which counts the children on that
-    seed, so each trial's environment takes a new copy of the cell's child,
-    rebuilt from its entropy and spawn key.
+    shuffle changes it).  Neither the shuffle nor an environment spawns on
+    its seed, so every run of a cell is given the cell's children as they
+    are, and each run still gets a fresh environment.  With one worker and
+    more than one algorithm, the first cells reached keep their shuffled,
+    validated instance for the other algorithms' runs, as many as fit in
+    ``_CELL_BYTES`` of means; later cells are rebuilt for each run.  Runs go
+    algorithm by algorithm, in the config's order.  The process pool's
+    workers rebuild the cell of every run.
     """
     registry = {name: select for name, (select, _) in ALGORITHMS.items()}
     if algorithms:
@@ -262,7 +299,8 @@ def run_experiment(config: ExperimentConfig, algorithms: dict = None) -> Experim
     tasks = [(means, K, config.epsilon, config.delta, best, algo_name, registry[algo_name],
               budget, *seeds[budget, trial]) for algo_name, budget, trial in cells]
     if config.workers == 1:
-        outcomes = dict(zip(cells, map(_trial_outcome, tasks)))
+        held_cells = _CELL_BYTES // (8 * means.size) if len(config.algorithms) > 1 else 0
+        outcomes = dict(zip(cells, _serial_outcomes(cells, tasks, held_cells)))
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=config.workers) as pool:
             outcomes = dict(zip(cells, pool.map(_trial_outcome, tasks, chunksize=8)))

@@ -4,8 +4,9 @@ Every algorithm in this package observes rewards exclusively through an
 :class:`ArmEnvironment`.  Rewards are Bernoulli; a batch of ``m`` pulls of one
 arm is drawn as a single Binomial(m, theta) sample, which is distributionally
 identical to ``m`` independent Bernoulli draws and keeps multi-million-pull
-simulations fast.  Two environments built from the same (instance, seed) and
-issued the same sequence of pull requests return bit-identical reward sums.
+simulations fast.  Two environments built from the same (instance, seed), one
+``SeedSequence`` object included, and issued the same sequence of pull
+requests return bit-identical reward sums.
 """
 
 from __future__ import annotations
@@ -121,9 +122,10 @@ def _admit(arms, m, n: int):
 
 def _reseeded(ss: np.random.SeedSequence, *key: int) -> np.random.SeedSequence:
     """A new SeedSequence with the entropy and pool size of ``ss`` and the
-    spawn key ``ss.spawn_key + key``: with no key a fresh copy of ``ss`` as
-    it was spawned, with key (j,) its child j.  ``spawn`` would count
-    children on ``ss`` itself."""
+    spawn key ``ss.spawn_key + key``: with key (j,) the child j that ``spawn``
+    gives ``ss`` as its (j + 1)-th, with key (j, k) child k of that child.
+    It reads only the key, so ``ss`` and the children it has spawned stay as
+    they are; ``spawn`` counts children on ``ss`` and gives the next ones."""
     return np.random.SeedSequence(ss.entropy, spawn_key=ss.spawn_key + key, pool_size=ss.pool_size)
 
 
@@ -169,6 +171,13 @@ class ArmEnvironment:
     arms) should come from :meth:`spawn_rng` so it never perturbs the reward
     stream.  ``seed`` is a ``SeedSequence`` or an integer >= 0.
 
+    The streams are read off the seed's key, not spawned on it: rewards come
+    from the seed's child 0 and :meth:`spawn_rng` generators from children
+    of its child 1, the children a fresh seed's ``spawn(2)`` gives.  So the
+    seed is left as it was, and every environment built from one seed object
+    draws alike.  A seed that has already spawned children still yields its
+    children 0 and 1, not the next two.
+
     A request of more than 2^16 ids draws at fixed positions in chunks of
     2^16, each from its own stream.  The caller draws a share of the chunks
     beside up to one helper thread per further usable CPU (none on one CPU);
@@ -181,11 +190,10 @@ class ArmEnvironment:
         self.n = instance.n
         if not isinstance(seed, np.random.SeedSequence):
             seed = np.random.SeedSequence(_integer("seed", seed, 0))
-        reward_ss, algo_ss = seed.spawn(2)
-        self._rng = np.random.default_rng(reward_ss)
-        self._reward_ss = reward_ss
+        self._seed = seed
+        self._rng = np.random.default_rng(_reseeded(seed, 0))
         self._chunk_rngs = [self._rng]  # chunk j's generator, made when first needed
-        self._algo_ss = algo_ss
+        self._spawned = 0  # spawn_rng calls so far
         self.pull_counts = np.zeros(instance.n, dtype=np.int64)
         self._total = 0
 
@@ -236,7 +244,7 @@ class ArmEnvironment:
         chunks = -(-arms.size // _CHUNK)
         while len(self._chunk_rngs) < chunks:
             self._chunk_rngs.append(np.random.default_rng(
-                _reseeded(self._reward_ss, len(self._chunk_rngs))))
+                _reseeded(self._seed, 0, len(self._chunk_rngs))))
         means = self.instance.means
         sums = np.empty(arms.size, dtype=np.int64)
 
@@ -265,8 +273,10 @@ class ArmEnvironment:
         return self._total
 
     def spawn_rng(self) -> np.random.Generator:
-        """Fresh deterministic generator for algorithm-internal choices."""
-        return np.random.default_rng(self._algo_ss.spawn(1)[0])
+        """Fresh deterministic generator for algorithm-internal choices: the
+        k-th call's is seeded from child k of the seed's child 1."""
+        self._spawned += 1
+        return np.random.default_rng(_reseeded(self._seed, 1, self._spawned - 1))
 
 
 class EnvironmentView:

@@ -126,6 +126,34 @@ def test_different_seeds_differ():
     assert len(draws) > 1
 
 
+def test_environments_on_one_seed_object_draw_its_first_two_children():
+    # An environment reads its streams off the seed's key and spawns nothing
+    # on it, so every environment built from one SeedSequence object draws
+    # alike: rewards from the seed's child 0 (chunk j >= 1 of a wide request
+    # from child j of that), spawn_rng's k-th generator from child k of its
+    # child 1.  A seed that has spawned children still yields children 0 and 1.
+    chunk = 2**16
+    means = np.concatenate([[0.2, 0.5, 0.8], np.random.default_rng(6).random(2 * chunk)])
+    narrow, wide, m = np.arange(3), np.arange(means.size), 1000
+    reward_ss, algo_ss = np.random.SeedSequence(5).spawn(2)
+    streams = [np.random.default_rng(reward_ss)]
+    streams += [np.random.default_rng(child) for child in reward_ss.spawn(3)[1:]]
+    expected = [streams[0].binomial(m, means[narrow]).tolist(),
+                [s for j, g in enumerate(streams) for s in
+                 g.binomial(m, means[wide[j * chunk:(j + 1) * chunk]]).tolist()],
+                [np.random.default_rng(child).random(4).tolist() for child in algo_ss.spawn(2)]]
+
+    seed = np.random.SeedSequence(5)
+    envs = [make_env(means, seed=seed) for _ in range(2)]
+    assert seed.n_children_spawned == 0
+    seed.spawn(3)
+    envs.append(make_env(means, seed=seed))
+    for env in envs:
+        assert [env.pull_many(narrow, m).tolist(), env.pull_many(wide, m).tolist(),
+                [env.spawn_rng().random(4).tolist() for _ in range(2)]] == expected
+    assert seed.n_children_spawned == 3
+
+
 def test_pull_many_matches_counters():
     env = make_env([0.1, 0.4, 0.8])
     sums = env.pull_many(np.array([0, 2]), 50)

@@ -27,6 +27,7 @@ import pytest
 from scipy.special import gammaln, logsumexp
 
 import topk_bandit.adaptive as adaptive_module
+import topk_bandit.bench as bench_module
 import topk_bandit.improved as improved_module
 from topk_bandit.adaptive import (
     SelectionResult, SelectionRun, _commit_sweep, _order_by_sums, _round_loop, _sorted_ids,
@@ -1098,16 +1099,29 @@ def _harness_configs(tmp_path):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_run_experiment_matches_the_per_cell_harness(tmp_path, workers):
-    # Seeds derived once per cell and the top-K sum once per experiment must
-    # write the reports of a fresh set-up and score per trial, byte for byte.
+def test_run_experiment_matches_the_per_cell_harness(tmp_path, monkeypatch, workers):
+    # Seeds derived once per cell, shuffled instances held for later runs and
+    # the top-K sum once per experiment must write the reports of a fresh
+    # set-up and score per trial, byte for byte.  Each config runs with every
+    # cell held and with the byte cap cut to three of its six cells, so the
+    # other three are rebuilt for each run.
     injected = {"pull-once": _pull_once} if workers == 1 else {}  # a lambda-free pool
+    builds = []
+    shuffled_instance = bench_module._shuffled_instance
+    monkeypatch.setattr(bench_module, "_shuffled_instance",
+                        lambda *args: builds.append(args[4]) or shuffled_instance(*args))
     for config in _harness_configs(tmp_path):
         config = replace(config, algorithms=tuple(ALGORITHMS) + tuple(injected), workers=workers)
-        fast = run_experiment(config, algorithms=injected or None)
         slow = ref_run_experiment(config, algorithms=injected)
-        assert fast.to_csv() == slow.to_csv(), config.instance
-        assert fast.to_json() == slow.to_json(), config.instance
+        cells, runs = len(config.budgets) * config.trials, len(config.algorithms)
+        for held in (cells, 3):
+            monkeypatch.setattr(bench_module, "_CELL_BYTES", 8 * config.n * held)
+            builds.clear()
+            fast = run_experiment(config, algorithms=injected or None)
+            assert fast.to_csv() == slow.to_csv(), (config.instance, held)
+            assert fast.to_json() == slow.to_json(), (config.instance, held)
+            if workers == 1:  # the pool's workers build in their own processes
+                assert len(builds) == cells + (runs - 1) * (cells - held), (config.instance, held)
 
 
 @pytest.mark.parametrize("selection", [[0, 1, 2, 3, 4], [0, 1, 2, 3, 4, 4], [-1, 0, 1, 2, 3, 4],

@@ -5,7 +5,9 @@ Each selection call on a fresh environment of n = 2^20 arms keeps at most
 ``hardness`` at most 3: the calls drop their n-length temporaries as soon
 as they are done with them.  numpy reports its array buffers to tracemalloc,
 so the traced peak counts them.  The wide requests draw in the caller alone
-(one usable CPU) and beside one helper thread (two).
+(one usable CPU) and beside one helper thread (two).  A one-process
+experiment holds shuffled cells for its later runs only up to a fixed byte
+cap, whatever its budgets, trials and n.
 """
 
 import tracemalloc
@@ -13,9 +15,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import topk_bandit.bench as bench_module
 import topk_bandit.env as env_module
 from topk_bandit import (
-    ArmEnvironment, Instance, adaptive_topk, adaptive_topk_fixed_budget, hardness, uniform_topk,
+    ArmEnvironment, ExperimentConfig, Instance, adaptive_topk, adaptive_topk_fixed_budget,
+    hardness, run_experiment, uniform_topk,
 )
 
 N = 1 << 20
@@ -62,3 +66,24 @@ def test_hardness_peak_memory(means):
     peak, report = _peak(lambda: hardness(sorted_means, K, 0.01))
     assert report.gaps.size == N
     assert peak <= 3 * ARRAY, f"{peak / ARRAY:.2f} arrays of 8n bytes"
+
+
+def test_experiment_holds_cells_up_to_its_cap():
+    # 30 cells of n = 2^18 means take 60 MiB, and 8 fit in the 16 MiB cap.
+    # Beyond the held cells a run allocates, in arrays of 8n bytes: the
+    # experiment's means (1, kept throughout), its rebuilt cell's
+    # permutation, shuffled means and the Instance's copy of them (3), the
+    # Instance's range-check masks (n bytes each, 3/8), and its
+    # environment's counters (1).  The bound sums them as if all were live
+    # at once.  The two selectors pull nothing, so no selection adds to it.
+    n = 1 << 18
+    picks = {"first": lambda env, K, *_: range(K),
+             "last": lambda env, K, *_: range(env.n - K, env.n)}
+    config = ExperimentConfig(instance="uniform", n=n, k=10, algorithms=tuple(picks),
+                              budgets=(1, 2), trials=15)
+    cap = bench_module._CELL_BYTES
+    assert len(config.budgets) * config.trials * 8 * n > 3 * cap
+    peak, report = _peak(lambda: run_experiment(config, algorithms=picks))
+    assert [r["trials"] for r in report.rows] == [15] * 4
+    assert peak <= cap + (5 + 3 / 8) * 8 * n, \
+        f"{(peak - cap) / (8 * n):.2f} arrays of 8n bytes past the cap"
