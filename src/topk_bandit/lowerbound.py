@@ -93,8 +93,8 @@ class HardBanditInstance:
     coin: CoinTossingInstance
 
     def means(self) -> np.ndarray:
-        out = np.where(np.isin(np.arange(self.n), list(self.planted)),
-                       0.5 + self.eta, 0.5 - self.eta)
+        out = np.full(self.n, 0.5 - self.eta)
+        out[np.fromiter(self.planted, np.intp, len(self.planted))] = 0.5 + self.eta
         out[self.special_index] = self.coin.bias
         return out
 
@@ -107,17 +107,23 @@ def make_hard_instance(n: int, eta: float, seed: int, hidden: Hidden = None) -> 
 
     Args:
         n: even number of arms, >= 2.
-        eta: bias magnitude in (0, 0.5).
+        eta: bias magnitude in (0, 0.5), large enough that 0.5 + eta and
+            0.5 - eta are not 0.5 in float64 (eta above about 5.6e-17).
         seed: drives the planted set, the index choice, and the coin draw.
         hidden: fix the coin's value instead of drawing it (useful in tests).
     """
     if _integer("n", n, 2) % 2:
         raise ValueError(f"n must be even, got {n}")
     _open("eta", eta, 0.5)
+    # Else the high and low arms share one mean, and no arm counts as high.
+    # 0.5 - eta rounds to 0.5 only for eta <= 2^-55, which this already refuses.
+    if 0.5 + eta == 0.5:
+        raise ValueError(f"eta must exceed about 5.6e-17, so that 0.5 + eta and 0.5 - eta "
+                         f"differ from 0.5 in float64, got {eta!r}")
     seed = _integer("seed", seed, 0)
     K = n // 2
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x51ED)))
-    planted = frozenset(int(a) for a in rng.choice(n, size=K, replace=False))
+    planted = frozenset(rng.choice(n, size=K, replace=False).tolist())
     special = int(rng.integers(n))
     if hidden is None:
         hidden = Hidden.PLUS if rng.integers(2) == 1 else Hidden.MINUS
@@ -243,7 +249,8 @@ def reduction_run(algorithm, n: int, K: int, eta: float, epsilon: float, C: int,
     known = selected[selected != hard.special_index]
     if not len(known):
         return "unknown"
-    high = int(np.count_nonzero(np.isin(known, np.fromiter(hard.planted, dtype=np.intp))))
+    # By id: the known arms are distinct, so each high one counts once.
+    high = len(hard.planted.intersection(known.tolist()))
     rho = (high * (0.5 + eta) + (len(known) - high) * (0.5 - eta)) / len(known)
     if rho < (0.5 + eta) - (eps_prime + 2.0 * eta / K):
         return "unknown"

@@ -75,6 +75,10 @@ CASES = {
     "gen-synthetic-float-n": ("n", lambda env: gen_synthetic_p(10.0, 3, 1.0)),
     "coin-bool-m": ("m", lambda env: optimal_coin_log_error(True, 0.1)),
     "hard-instance-float-n": ("n", lambda env: make_hard_instance(4.0, 0.1, 0)),
+    # 0.5 + 1e-17 is 0.5: the high and low arms would share one mean.
+    "hard-instance-eta-below-the-rounding-of-0.5": ("eta", lambda env: make_hard_instance(4, 1e-17, 0)),
+    "reduction-eta-below-the-rounding-of-0.5": (
+        "eta", lambda env: reduction_run(adaptive_topk, 40, 20, 1e-17, 0.2, C=0, seed=0)),
     "reduction-float-C": ("C", lambda env: reduction_run(adaptive_topk, 40, 20, 0.1, 0.2, C=2.5, seed=0)),
     "env-float-seed": ("seed", lambda env: ArmEnvironment(Instance(MEANS, 5, 0.1, 0.1), 2.9)),
     "env-bool-seed": ("seed", lambda env: ArmEnvironment(Instance(MEANS, 5, 0.1, 0.1), True)),

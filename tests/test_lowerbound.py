@@ -108,6 +108,17 @@ class TestHardInstance:
             expected = {(True, True): 5, (True, False): 4, (False, True): 6, (False, False): 5}
             assert hard.high_arm_count() == expected[(in_planted, plus)]
 
+    def test_eta_that_leaves_0_5_as_it_is_is_refused(self):
+        # 2^-54 is half an ulp above 0.5: 0.5 + 2^-54 rounds (to even) to 0.5.
+        # The next float up moves it, and the instance keeps its high arms.
+        tie = 2.0**-54
+        with pytest.raises(ValueError, match=r"^eta must .*got 5\.55"):
+            make_hard_instance(4, tie, 0)
+        for seed in range(8):
+            hard = make_hard_instance(4, math.nextafter(tie, 1.0), seed)
+            assert hard.high_arm_count() in (1, 2, 3)
+            assert hard.means().max() > 0.5
+
     def test_difficulty_scales_like_n_over_eta_sq(self):
         # At tolerance eta the capped sum stays within small constants of
         # n / eta^2 across all three realized configurations.
@@ -192,6 +203,62 @@ class TestReductionRun:
             reduction_run(_fixed_answer_algorithm([0]), 9, 4, 0.1, 1.0, 10, 0)
         with pytest.raises(ValueError):
             reduction_run(_fixed_answer_algorithm([0]), 8, 4, 0.1, 0.5, 10, 0)  # eps*K < 4
+
+
+def _ref_hard_instance(n, eta, seed):
+    """The planted set, special index, coin and means by per-arm formulas:
+    one int() per planted id, and a np.isin mask over the planted list."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x51ED)))
+    planted = frozenset(int(a) for a in rng.choice(n, size=n // 2, replace=False))
+    special = int(rng.integers(n))
+    hidden = Hidden.PLUS if rng.integers(2) == 1 else Hidden.MINUS
+    means = np.where(np.isin(np.arange(n), list(planted)), 0.5 + eta, 0.5 - eta)
+    means[special] = 0.5 + (eta if hidden is Hidden.PLUS else -eta)
+    return planted, special, hidden, means
+
+
+def _ref_reduction_answer(selected, n, eta, epsilon, seed):
+    """reduction_run's answer on a selection that is not given up, with the
+    high arms counted by the np.isin formula."""
+    planted, special, _, _ = _ref_hard_instance(n, eta, seed)
+    selected = np.sort(np.asarray(selected, dtype=np.intp))
+    known = selected[selected != special]
+    if not len(known):
+        return "unknown"
+    high = int(np.count_nonzero(np.isin(known, np.fromiter(planted, dtype=np.intp))))
+    rho = (high * (0.5 + eta) + (len(known) - high) * (0.5 - eta)) / len(known)
+    if rho < (0.5 + eta) - (eta * epsilon / 4.0 + 2.0 * eta / (n // 2)):
+        return "unknown"
+    return "plus" if special in selected else "minus"
+
+
+@pytest.mark.parametrize("n", [2, 12, 40, 1000])
+def test_hard_instance_and_reduction_match_the_per_arm_formulas(n):
+    eta, epsilon = 0.1, 8.0 / n
+    rng = np.random.default_rng(n)
+    answers = set()
+    for seed in range(50):
+        planted, special, hidden, means = _ref_hard_instance(n, eta, seed)
+        hard = make_hard_instance(n, eta, seed)
+        assert hard.planted == planted and all(type(a) is int for a in hard.planted)
+        assert type(hard.special_index) is int and hard.special_index == special
+        assert hard.coin.hidden_value is hidden
+        got = hard.means()
+        assert got.dtype == means.dtype == np.float64 and got.tobytes() == means.tobytes()
+        # Selections from the planted set with up to three low arms swapped
+        # in, so the verification passes on some and fails (rho) on others.
+        high, low = sorted(planted), sorted(set(range(n)) - planted)
+        for _ in range(3):
+            swap = int(rng.integers(0, min(3, len(low)) + 1))
+            pick = (rng.permutation(high)[:n // 2 - swap].tolist()
+                    + rng.permutation(low)[:swap].tolist())
+            answer = reduction_run(_fixed_answer_algorithm(pick, list),
+                                   n, n // 2, eta, epsilon, C=10**6, seed=seed)
+            assert answer == _ref_reduction_answer(pick, n, eta, epsilon, seed)
+            answers.add(answer)
+    # At n = 2 a selection holding the coin has no known arm and answers
+    # "unknown" before rho; past it "unknown" comes from rho alone.
+    assert answers == ({"minus", "unknown"} if n == 2 else {"plus", "minus", "unknown"})
 
 
 def test_watchdog_gives_up_on_one_arm_pulls_past_the_cap():
