@@ -121,36 +121,64 @@ def _order_by_sums(sums: np.ndarray, m: int) -> np.ndarray:
     the even split of ``_spread`` and the ``improved`` subroutines all
     use it.  Every arm had the same m pulls, so for integer
     sums in [0, m] with m < 2^53 the mean is strictly increasing in the sum,
-    and the order is the stable ascending order of the exact integer key
-    ``m - sums``.  One int64 subtract forms the key, and one unsigned max
-    over it checks the range: the subtract wraps modulo 2^64, so a sum below
-    0 or above m leaves a key that reads above m as unsigned.  A small
-    ranking (at most 2^16 arms) with m < 2^16 sorts the key as 16-bit
-    integers, which numpy's stable sort orders by radix in two passes.  Any
-    other key is shifted left past the b bits of the position and the
-    position or-ed in (past 2^16 arms 2^16 positions at a time, so the words
-    are the only n-length array): those int64 words are distinct, so any
-    sort of them gives the stable order, and the low b bits read it off.
-    Keys too wide for that, and any other input, take the float sort.
+    and the order is the stable ascending order of an exact integer key, the
+    sums subtracted from a bound.  A key shifted left past the b bits of the
+    position, with the position or-ed in, makes a word; the words are
+    distinct, so any sort of them gives the stable order, and the low b bits
+    read it off.
+
+    A small ranking (at most 2^16 arms) keys on ``m - sums``: one int64
+    subtract, and one unsigned max over it checks the range, as the subtract
+    wraps modulo 2^64 and a sum below 0 or above m leaves a key that reads
+    above m as unsigned.  With m < 2^16 it sorts the key as 16-bit integers,
+    which numpy's stable sort orders by radix in two passes; else it sorts
+    int64 words.  A wide ranking checks the sums themselves: one unsigned
+    max ``hi`` (a negative sum wraps high) and one min ``lo``.  It keys on
+    ``hi - sums`` and sorts uint32 words when the spread ``hi - lo`` fits in
+    32 - b bits, and int64 words when it fits in 63 - b; positions are
+    or-ed in 2^16 at a time, so the words are its only n-length array.
+    Wider keys, and any other input, take the float sort.
+
+    Returns intp positions, except that the uint32 words of a wide ranking
+    return uint32 positions: every caller only indexes with them.
     """
     if sums.size and sums.dtype.kind in "iu" and 0 <= m < 1 << 53:
-        words = np.subtract(m, sums, dtype=np.int64, casting="unsafe")
-        top = int(np.maximum.reduce(words.view(np.uint64)))
-        if top <= m < 1 << 16 and sums.size <= _CHUNK:
-            return words.astype(np.uint16).argsort(kind="stable")
         b = (sums.size - 1).bit_length()
-        if top <= m and top.bit_length() + b <= 63:
-            words <<= b
-            if sums.size <= _CHUNK:
-                words |= np.arange(sums.size)
-            else:  # no n-length position array beside the words
-                for lo in range(0, sums.size, _CHUNK):
-                    part = words[lo:lo + _CHUNK]
-                    part |= np.arange(lo, lo + part.size)
-            words.sort()
-            words &= (1 << b) - 1
-            return words
+        if sums.size > _CHUNK:
+            hi = int(np.maximum.reduce(sums.view(sums.dtype.str.replace("i", "u"))))
+            if hi <= m:
+                bits = (hi - int(np.minimum.reduce(sums))).bit_length() + b
+                if bits <= 32:
+                    # hi - sums is below 2^32, so it is exact modulo 2^32.
+                    return _word_order(np.subtract(hi & 0xFFFFFFFF, sums, dtype=np.uint32,
+                                                   casting="unsafe"), b)
+                if bits <= 63:
+                    return _word_order(np.subtract(hi, sums, dtype=np.int64, casting="unsafe"), b)
+        else:
+            words = np.subtract(m, sums, dtype=np.int64, casting="unsafe")
+            top = int(np.maximum.reduce(words.view(np.uint64)))
+            if top <= m < 1 << 16:
+                return words.astype(np.uint16).argsort(kind="stable")
+            if top <= m and top.bit_length() + b <= 63:
+                return _word_order(words, b)
     return np.argsort(-(sums / m), kind="stable")
+
+
+def _word_order(keys: np.ndarray, b: int) -> np.ndarray:
+    """Positions in the ascending order of ``keys`` (ties: lower position
+    first), in place: each key shifted left past b position bits, the
+    position or-ed in (past 2^16 keys 2^16 at a time, so the keys are the
+    only n-length array), sorted and masked."""
+    keys <<= b
+    if keys.size <= _CHUNK:
+        keys |= np.arange(keys.size, dtype=keys.dtype)
+    else:
+        for lo in range(0, keys.size, _CHUNK):
+            part = keys[lo:lo + _CHUNK]
+            part |= np.arange(lo, lo + part.size, dtype=keys.dtype)
+    keys.sort()
+    keys &= (1 << b) - 1
+    return keys
 
 
 def _spread(env, arms: np.ndarray, rest: int, P: int = 0, sums=None) -> np.ndarray:

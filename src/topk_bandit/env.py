@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numbers
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -180,9 +181,11 @@ class ArmEnvironment:
 
     A request of more than 2^16 ids draws at fixed positions in chunks of
     2^16, each from its own stream.  The caller draws a share of the chunks
-    beside up to one helper thread per further usable CPU (none on one CPU);
-    the sums are the same whatever the thread count.  An environment
-    takes one request at a time: one environment per concurrent run.
+    beside up to one helper thread per further usable CPU (none on one CPU),
+    and each thread counts a chunk's pulls as soon as it has drawn it; the
+    sums and counters are the same whatever the thread count.  An
+    environment takes one request at a time: one environment per concurrent
+    run.
     """
 
     def __init__(self, instance: Instance, seed):
@@ -230,30 +233,39 @@ class ArmEnvironment:
             sums = self._draw_chunks(arms, m)
         else:
             sums = self._rng.binomial(m, self.instance.means[arms]).astype(np.int64, copy=False)
-        np.add.at(self.pull_counts, arms, m)
+            np.add.at(self.pull_counts, arms, m)
         self._total += m * arms.size
         return sums
 
     def _draw_chunks(self, arms: np.ndarray, m: int) -> np.ndarray:
-        """Reward sums of a wide request: chunk j, ids j * 2^16 up to
-        (j + 1) * 2^16, draws from generator j.  Generator 0 is the reward
-        stream; generator j >= 1 is seeded from the reward seed and j alone.
-        numpy's Binomial draw releases the GIL, so the caller draws chunks
-        beside up to one helper thread per further usable CPU, each taking
-        the next chunk index from one shared iterator."""
+        """Reward sums of a wide request, with its pulls counted: chunk j,
+        ids j * 2^16 up to (j + 1) * 2^16, draws from generator j.
+        Generator 0 is the reward stream; generator j >= 1 is seeded from
+        the reward seed and j alone.  numpy's Binomial draw releases the GIL,
+        so the caller draws chunks beside up to one helper thread per further
+        usable CPU, each taking the next chunk index from one shared
+        iterator.  A thread adds a chunk's pull counts right after it draws
+        the chunk, under one lock per request (numpy does not promise that
+        ``ufunc.at`` is atomic), so the counting overlaps the other threads'
+        draws; integer adds commute, so the counters do not depend on the
+        order."""
         chunks = -(-arms.size // _CHUNK)
         while len(self._chunk_rngs) < chunks:
             self._chunk_rngs.append(np.random.default_rng(
                 _reseeded(self._seed, 0, len(self._chunk_rngs))))
-        means = self.instance.means
+        means, counts = self.instance.means, self.pull_counts
         sums = np.empty(arms.size, dtype=np.int64)
 
         jobs = iter(range(chunks))  # next() on it is atomic under the GIL
+        lock = threading.Lock()
 
         def draw():
             for j in jobs:
                 part = slice(j * _CHUNK, (j + 1) * _CHUNK)
-                sums[part] = self._chunk_rngs[j].binomial(m, means[arms[part]])
+                ids = arms[part]
+                sums[part] = self._chunk_rngs[j].binomial(m, means[ids])
+                with lock:
+                    np.add.at(counts, ids, m)
 
         helpers = min(_usable_cpus(), chunks) - 1
         if helpers:

@@ -60,7 +60,9 @@ class CoinTossingInstance:
     """A coin of bias 0.5 + eta or 0.5 - eta.
 
     Nothing here tosses it: the hard bandit embeds it as one arm.  ``seed``
-    records the seed of the hard instance that drew it.
+    records the seed of the hard instance that drew it.  eta must lie in
+    (0, 0.5) and be large enough that 0.5 + eta and 0.5 - eta are not 0.5 in
+    float64 (eta above about 5.6e-17): else the two biases are one.
     """
 
     eta: float
@@ -69,6 +71,10 @@ class CoinTossingInstance:
 
     def __post_init__(self):
         _open("eta", self.eta, 0.5)
+        # 0.5 - eta rounds to 0.5 only for eta <= 2^-55, which this already refuses.
+        if 0.5 + self.eta == 0.5:
+            raise ValueError(f"eta must exceed about 5.6e-17, so that 0.5 + eta and 0.5 - eta "
+                             f"differ from 0.5 in float64, got {self.eta!r}")
 
     @property
     def bias(self) -> float:
@@ -107,19 +113,13 @@ def make_hard_instance(n: int, eta: float, seed: int, hidden: Hidden = None) -> 
 
     Args:
         n: even number of arms, >= 2.
-        eta: bias magnitude in (0, 0.5), large enough that 0.5 + eta and
-            0.5 - eta are not 0.5 in float64 (eta above about 5.6e-17).
+        eta: bias magnitude, as :class:`CoinTossingInstance` takes it:
+            in (0, 0.5) and above about 5.6e-17.
         seed: drives the planted set, the index choice, and the coin draw.
         hidden: fix the coin's value instead of drawing it (useful in tests).
     """
     if _integer("n", n, 2) % 2:
         raise ValueError(f"n must be even, got {n}")
-    _open("eta", eta, 0.5)
-    # Else the high and low arms share one mean, and no arm counts as high.
-    # 0.5 - eta rounds to 0.5 only for eta <= 2^-55, which this already refuses.
-    if 0.5 + eta == 0.5:
-        raise ValueError(f"eta must exceed about 5.6e-17, so that 0.5 + eta and 0.5 - eta "
-                         f"differ from 0.5 in float64, got {eta!r}")
     seed = _integer("seed", seed, 0)
     K = n // 2
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x51ED)))

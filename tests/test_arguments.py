@@ -8,7 +8,9 @@ import pytest
 
 from topk_bandit import (
     ArmEnvironment,
+    CoinTossingInstance,
     ExperimentConfig,
+    Hidden,
     Instance,
     adaptive_topk,
     adaptive_topk_fixed_budget,
@@ -77,6 +79,7 @@ CASES = {
     "hard-instance-float-n": ("n", lambda env: make_hard_instance(4.0, 0.1, 0)),
     # 0.5 + 1e-17 is 0.5: the high and low arms would share one mean.
     "hard-instance-eta-below-the-rounding-of-0.5": ("eta", lambda env: make_hard_instance(4, 1e-17, 0)),
+    "coin-eta-below-the-rounding-of-0.5": ("eta", lambda env: CoinTossingInstance(1e-17, Hidden.PLUS, 0)),
     "reduction-eta-below-the-rounding-of-0.5": (
         "eta", lambda env: reduction_run(adaptive_topk, 40, 20, 1e-17, 0.2, C=0, seed=0)),
     "reduction-float-C": ("C", lambda env: reduction_run(adaptive_topk, 40, 20, 0.1, 0.2, C=2.5, seed=0)),

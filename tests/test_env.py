@@ -1,4 +1,6 @@
 import copy
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -414,6 +416,89 @@ def test_wide_request_sums_do_not_depend_on_the_thread_count(monkeypatch):
     assert pools == [1, 1, 3, 3]
     assert seen[0] == seen[1] == seen[2]
     assert len(seen[0][1]) == 5
+
+
+def ref_wide_pull(env, arms, m):
+    """A wide request as the environment served it while it counted pulls
+    after the draws: every chunk drawn from its own generator, then one
+    serial ``np.add.at`` over all ids (the thread count does not change the
+    chunks' streams, so they are drawn here in order)."""
+    chunks = -(-arms.size // env_module._CHUNK)
+    while len(env._chunk_rngs) < chunks:
+        env._chunk_rngs.append(np.random.default_rng(
+            env_module._reseeded(env._seed, 0, len(env._chunk_rngs))))
+    sums = np.empty(arms.size, dtype=np.int64)
+    for j in range(chunks):
+        part = slice(j * env_module._CHUNK, (j + 1) * env_module._CHUNK)
+        sums[part] = env._chunk_rngs[j].binomial(m, env.instance.means[arms[part]])
+    np.add.at(env.pull_counts, arms, m)
+    env._total += m * arms.size
+    return sums
+
+
+def _wide_state(env):
+    return env.pull_counts.tolist(), env.total_pulls(), [g.bit_generator.state for g in env._chunk_rngs]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_wide_request_counts_as_a_serial_add_after_the_draws(monkeypatch, cpus):
+    # Each thread counts a chunk's pulls as it draws it.  Id 0 recurs in
+    # chunks 0 and 3, so two chunks add to one counter.
+    monkeypatch.setattr(env_module, "_usable_cpus", lambda: cpus)
+    chunk = 2**16
+    means = np.random.default_rng(12).random(50)
+    arms = np.random.default_rng(13).integers(1, means.size, 4 * chunk + 9)
+    repeats = [0, 5, 3 * chunk + 2, 3 * chunk + 7]
+    arms[repeats] = 0
+    env, ref = make_env(means, seed=21), make_env(means, seed=21)
+    for m in (3, 10**6, 3):
+        assert env.pull_many(arms, m).tolist() == ref_wide_pull(ref, arms, m).tolist()
+        assert _wide_state(env) == _wide_state(ref)
+    assert env.pull_counts[0] == len(repeats) * (2 * 3 + 10**6)
+
+
+def test_wide_request_counts_every_chunk_under_thread_contention(monkeypatch):
+    # Four threads on one request, more than a 2-core host has, and a 1 us
+    # switch interval: every chunk adds to the same five counters, so an
+    # update lost between threads would leave one short.
+    monkeypatch.setattr(env_module, "_usable_cpus", lambda: 4)
+    means = np.random.default_rng(15).random(5)
+    arms = np.arange(8 * 2**16) % means.size
+    env, done = make_env(means, seed=3), []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker = threading.Thread(target=lambda: done.append(env.pull_many(arms, 3)))
+        worker.start()
+        worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive() and len(done) == 1
+    assert env.pull_counts.tolist() == (3 * np.bincount(arms)).tolist()
+    assert env.total_pulls() == 3 * arms.size
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("bad", ["id-n", "id-minus-one", "m-past-a-counter"])
+def test_refused_wide_request_changes_nothing(monkeypatch, cpus, bad):
+    # A refused wide request counts no chunk and moves no chunk's stream.
+    monkeypatch.setattr(env_module, "_usable_cpus", lambda: cpus)
+    means = np.random.default_rng(14).random(50)
+    arms = np.arange(3 * 2**16 + 1) % means.size
+    env, fresh = make_env(means, seed=5), make_env(means, seed=5)
+    for e in (env, fresh):
+        e.pull_many(arms, 5)
+    request, m, error = arms.copy(), 3, IndexError
+    if bad == "id-n":
+        request[-1] = means.size
+    elif bad == "id-minus-one":
+        request[2**16 + 1] = -1
+    else:  # each id is listed about 3 900 times
+        m, error = 2**63 // 1000, ValueError
+    with pytest.raises(error):
+        env.pull_many(request, m)
+    assert _wide_state(env) == _wide_state(fresh)
+    assert env.pull_many(arms, 7).tolist() == fresh.pull_many(arms, 7).tolist()
 
 
 def test_complement_environment_flips_rewards():

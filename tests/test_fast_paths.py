@@ -523,13 +523,22 @@ ORDER_MS = [1, 2, 77, 65535, 65536, 10**6, 2**40, 2**53 - 1, 2**60 + 1]
 
 
 def _order_branch(sums: np.ndarray, m: int) -> str:
-    """The sort _order_by_sums is meant to take: "key16", "word" or "float"."""
+    """The sort _order_by_sums is meant to take: "key16", "word" (int64
+    words), "word32" (uint32 words) or "float"."""
     if not (sums.size and sums.dtype.kind in "iu" and m < 2**53 and 0 <= sums.min() and sums.max() <= m):
         return "float"
-    if m < 2**16 and sums.size <= 2**16:
+    b = (sums.size - 1).bit_length()
+    if sums.size > 2**16:  # keyed on max(sums) - sums
+        bits = (int(sums.max()) - int(sums.min())).bit_length() + b
+        return "word32" if bits <= 32 else "word" if bits <= 63 else "float"
+    if m < 2**16:
         return "key16"
     top = m - int(sums.min())  # the largest key m - sums
-    return "word" if top.bit_length() + (sums.size - 1).bit_length() <= 63 else "float"
+    return "word" if top.bit_length() + b <= 63 else "float"
+
+
+# The dtype of the positions each branch returns.
+ORDER_DTYPES = {"key16": np.intp, "word": np.intp, "word32": np.uint32, "float": np.intp}
 
 
 def _sums_cases(rng, m: int):
@@ -591,28 +600,75 @@ def test_order_by_sums_matches_float_sort_past_one_chunk():
             assert np.array_equal(_order_by_sums(sums, m), ref_order_by_sums(sums, m))
 
 
+def _wide_order_cases(size: int):
+    """(sums, m) for a ranking of ``size`` > 2^16 arms.  With b position
+    bits, the spreads max - min take 32 - b, 33 - b, 63 - b and 64 - b bits:
+    the widest uint32 words, the narrowest int64 words, the widest int64
+    words and the float sort.  Each spread comes with sums at 0 and at m,
+    sums offset from 0 below an m past their max, heavy ties, int32 and
+    uint64 sums, and a sum of -1 or m + 1, which must take the float sort."""
+    rng = np.random.default_rng(size)
+    b = (size - 1).bit_length()
+    for spread in ((1 << (32 - b)) - 1, 1 << (32 - b), (1 << (63 - b)) - 1, 1 << (63 - b)):
+        m = spread
+        full = rng.integers(0, m + 1, size)
+        full[[0, -1]] = 0, m
+        yield full, m
+        offset = full + 3 * spread
+        yield offset, 4 * spread + 5
+        ties = rng.choice([0, spread // 2, spread], size)
+        ties[-2:] = 0, spread
+        yield ties, m
+        if m < 2**31:
+            yield full.astype(np.int32), m
+        yield offset.astype(np.uint64), 4 * spread + 5
+        for bad in (-1, m + 1):
+            sums = full.copy()
+            sums[size // 2] = bad
+            yield sums, m
+
+
+WIDE_SIZES = (2**16 + 1, 2**20)
+
+
+@pytest.mark.parametrize("size", WIDE_SIZES)
+def test_wide_order_by_sums_matches_float_sort(size):
+    seen = Counter()
+    for sums, m in _wide_order_cases(size):
+        branch = _order_branch(sums, m)
+        fast = _order_by_sums(sums, m)
+        assert np.array_equal(fast, ref_order_by_sums(sums, m)), (size, m, branch, sums.dtype)
+        assert fast.dtype == ORDER_DTYPES[branch], (size, m, branch)
+        seen[branch] += 1
+    assert seen == {"word32": 5, "word": 9, "float": 12}
+
+
 def test_order_by_sums_cases_reach_every_branch(monkeypatch):
-    # The float sort is the one np.argsort call and the word sort the one
-    # np.arange call: count them to see the branch taken.
+    # The float sort is the one np.argsort call and the word sorts the only
+    # np.arange calls, for uint32 positions in the uint32 words: record them
+    # to see the branch taken.
     calls = []
     argsort, arange = np.argsort, np.arange
     monkeypatch.setattr(np, "argsort", lambda *a, **kw: calls.append("float") or argsort(*a, **kw))
-    monkeypatch.setattr(np, "arange", lambda *a, **kw: calls.append("word") or arange(*a, **kw))
-    counts = {}
-    for m in ORDER_MS:
-        counts[m] = Counter()
-        for sums in _order_cases(m):
-            calls.clear()
-            _order_by_sums(sums, m)
-            taken = calls[0] if calls else "key16"
-            assert taken == _order_branch(sums, m), (m, sums.dtype, sums[:10])
-            counts[m][taken] += 1
-    assert {m: (c["key16"], c["word"], c["float"]) for m, c in counts.items()} == {
-        1: (40, 0, 36), 2: (40, 0, 36), 77: (40, 0, 36), 65535: (40, 0, 36),
-        65536: (0, 40, 36), 10**6: (0, 40, 36), 2**40: (0, 35, 36),
-        2**53 - 1: (0, 28, 43),  # 7 in-range cases need 64 bits
-        2**60 + 1: (0, 0, 71),
+    monkeypatch.setattr(np, "arange", lambda *a, **kw: calls.append(
+        "word32" if kw.get("dtype") == np.uint32 else "word") or arange(*a, **kw))
+
+    def taken(sums, m):
+        calls.clear()
+        _order_by_sums(sums, m)
+        branch = calls[0] if calls else "key16"
+        assert branch == _order_branch(sums, m), (m, sums.dtype, sums[:10])
+        return branch
+
+    counts = {m: Counter(taken(sums, m) for sums in _order_cases(m)) for m in ORDER_MS}
+    assert {m: (c["key16"], c["word"], c["float"], c["word32"]) for m, c in counts.items()} == {
+        1: (40, 0, 36, 0), 2: (40, 0, 36, 0), 77: (40, 0, 36, 0), 65535: (40, 0, 36, 0),
+        65536: (0, 40, 36, 0), 10**6: (0, 40, 36, 0), 2**40: (0, 35, 36, 0),
+        2**53 - 1: (0, 28, 43, 0),  # 7 in-range cases need 64 bits
+        2**60 + 1: (0, 0, 71, 0),
     }
+    wide = Counter(taken(sums, m) for sums, m in _wide_order_cases(WIDE_SIZES[0]))
+    assert wide == {"word32": 5, "word": 9, "float": 12}
 
 
 # --- _commit_sweep and _round_loop ----------------------------------------

@@ -14,6 +14,7 @@ from topk_bandit.env import ArmEnvironment, Instance
 from topk_bandit.hardness import hardness
 from topk_bandit.lowerbound import (
     GIVE_UP_RATE_CAP,
+    CoinTossingInstance,
     Hidden,
     _CapWatchdog,
     _GiveUp,
@@ -118,6 +119,17 @@ class TestHardInstance:
             hard = make_hard_instance(4, math.nextafter(tie, 1.0), seed)
             assert hard.high_arm_count() in (1, 2, 3)
             assert hard.means().max() > 0.5
+
+    def test_coin_refuses_an_eta_that_leaves_0_5_as_it_is(self):
+        # Both biases would read 0.5: the hidden value could not be told apart.
+        tie = 2.0**-54
+        for eta in (1e-17, tie):
+            for hidden in Hidden:
+                with pytest.raises(ValueError, match=r"^eta must exceed"):
+                    CoinTossingInstance(eta, hidden, 0)
+        eta = math.nextafter(tie, 1.0)
+        plus, minus = (CoinTossingInstance(eta, h, 0).bias for h in (Hidden.PLUS, Hidden.MINUS))
+        assert minus < 0.5 < plus
 
     def test_difficulty_scales_like_n_over_eta_sq(self):
         # At tolerance eta the capped sum stays within small constants of

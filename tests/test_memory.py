@@ -1,11 +1,13 @@
 """Memory budgets of the large-n paths.
 
 Each selection call on a fresh environment of n = 2^20 arms keeps at most
-4.5 arrays of 8n bytes above what was allocated when it started, and
-``hardness`` at most 3: the calls drop their n-length temporaries as soon
-as they are done with them.  numpy reports its array buffers to tracemalloc,
-so the traced peak counts them.  The wide requests draw in the caller alone
-(one usable CPU) and beside one helper thread (two).  A one-process
+4.5 arrays of 8n bytes above what was allocated when it started,
+``hardness`` at most 3, and the ranking of 2^20 sums that share a small
+pull count about 0.53, derived from its words: the calls drop their
+n-length temporaries as soon as they are done with them.  numpy reports its
+array buffers to tracemalloc, so the traced peak counts them.  The wide
+requests draw in the caller alone (one usable CPU) and beside one helper
+thread (two).  A one-process
 experiment holds shuffled cells for its later runs only up to a fixed byte
 cap, whatever its budgets, trials and n.
 """
@@ -21,6 +23,7 @@ from topk_bandit import (
     ArmEnvironment, ExperimentConfig, Instance, adaptive_topk, adaptive_topk_fixed_budget,
     hardness, run_experiment, uniform_topk,
 )
+from topk_bandit.adaptive import _order_by_sums
 
 N = 1 << 20
 K = N // 10
@@ -59,6 +62,17 @@ def test_selection_peak_memory(monkeypatch, means, name, cpus):
     peak, result = _peak(lambda: CALLS[name](env))
     assert result.total_pulls >= N  # every arm was pulled: the wide path ran
     assert peak <= 4.5 * ARRAY, f"{name}: {peak / ARRAY:.2f} arrays of 8n bytes"
+
+
+def test_wide_ranking_peak_memory():
+    # Sums of m = 49 pulls span at most 6 bits, and 2^20 positions take 20:
+    # the ranking sorts uint32 words, one per arm (4n bytes), and or-s in
+    # positions from one 2^16-entry uint32 chunk at a time (2^18 bytes).
+    # 4 KiB more covers the array objects; about 0.53 arrays of 8n bytes.
+    sums = np.random.default_rng(6).binomial(49, np.random.default_rng(7).random(N))
+    peak, order = _peak(lambda: _order_by_sums(sums, 49))
+    assert order.dtype == np.uint32 and order.size == N
+    assert peak <= 4 * N + 4 * env_module._CHUNK + 4096, f"{peak / ARRAY:.3f} arrays of 8n bytes"
 
 
 def test_hardness_peak_memory(means):
