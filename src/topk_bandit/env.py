@@ -97,28 +97,20 @@ def _integer(name: str, v, lo: int, hi: int = None) -> int:
 
 def _request(arms, m, n: int):
     """A pull request as (intp ids, int m); ValueError unless m is an integer
-    in [1, 2^63 - 1], IndexError unless each id (repeats allowed) is in [0, n)."""
-    arms, m = _arm_ids(arms), _integer("m", m, 1, _MAX_PULLS)
+    in [1, 2^63 - 1], IndexError unless each id (repeats allowed) is in [0, n).
+    A 1-D intp array (returned as given) skips ``_arm_ids`` and an int m in
+    range skips ``_integer``: the form every selector sends."""
+    # Built-in dtypes are singletons; an equal descriptor that is another
+    # object (an unpickled array's, say) only takes the conversion.
+    if not (type(arms) is np.ndarray and arms.dtype is _INTP and arms.ndim == 1):
+        arms = _arm_ids(arms)
+    if not (type(m) is int and 0 < m <= _MAX_PULLS):
+        m = _integer("m", m, 1, _MAX_PULLS)
     # One id (cb-ar's step) takes a scalar test, more one unsigned max: a negative id wraps above n.
-    if arms.size == 1 and not 0 <= arms.item(0) < n or arms.size > 1 and arms.view(np.uintp).max() >= n:
+    if (not 0 <= arms.item(0) < n if arms.size == 1
+            else arms.size and np.maximum.reduce(arms.view(np.uintp)) >= n):
         raise IndexError("arm index out of range")
     return arms, m
-
-
-def _admit(arms, m, n: int):
-    """``_request(arms, m, n)``, with one test for the form every selector
-    sends: a non-empty 1-D intp array of ids in [0, n), checked as
-    ``_request`` checks them (one id by a scalar test, more by one unsigned
-    max), and an int m in [1, 2^63 - 1].  Any other request, an out-of-range
-    id in that form included, takes ``_request``'s checks and refusals."""
-    # Built-in dtypes are singletons; an equal descriptor that is another
-    # object (an unpickled array's, say) only takes the longer way.
-    if (type(arms) is np.ndarray and arms.dtype is _INTP and arms.ndim == 1
-            and type(m) is int and 0 < m <= _MAX_PULLS
-            and (0 <= arms.item(0) < n if arms.size == 1
-                 else arms.size and np.maximum.reduce(arms.view(np.uintp)) < n)):
-        return arms, m
-    return _request(arms, m, n)
 
 
 def _reseeded(ss: np.random.SeedSequence, *key: int) -> np.random.SeedSequence:
@@ -204,7 +196,8 @@ class ArmEnvironment:
         """Pull each arm in ``arms`` exactly ``m`` times (one vectorized request).
 
         Returns the per-arm reward sums aligned with ``arms``.  An arm listed
-        twice is pulled twice as often.
+        twice is pulled twice as often; an empty request draws nothing.  A
+        1-D intp array and an int m (every selector's form) skip conversion.
 
         Raises:
             IndexError: an arm index out of range.
@@ -212,29 +205,26 @@ class ArmEnvironment:
                 a scalar, say), m not an integer, m < 1, or a pull count
                 that would pass 2^63 - 1.
         """
-        arms, m = _admit(arms, m, self.n)
+        arms, m = _request(arms, m, self.n)
+        pulls = m * arms.size
         # No counter exceeds the total, so the counters are read only once
         # the total could pass 2^63 - 1.
-        if self._total + m * arms.size > _MAX_PULLS:
+        if self._total + pulls > _MAX_PULLS:
             ids, times = np.unique(arms, return_counts=True)
             if np.any((_MAX_PULLS - self.pull_counts[ids]) // times < m):
                 raise ValueError(f"m must keep every pull count <= 2^63 - 1, got {m}")
         if arms.size == 1:
-            # numpy's scalar draw takes the same value from the stream as its
-            # array draw, at about 1.4 us against 10 us a call (2-core Xeon);
-            # cb-ar pulls one arm per step.
+            # cb-ar pulls one arm per step: numpy's scalar draw takes the same value from
+            # the stream as its array draw, at about 1.4 us against 10 us (2-core Xeon).
             arm = arms.item(0)
             self.pull_counts[arm] += m
-            self._total += m
-            return np.array([self._rng.binomial(m, self.instance.means[arm])], dtype=np.int64)
-        if arms.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        if arms.size > _CHUNK:
+            sums = np.array([self._rng.binomial(m, self.instance.means[arm])], dtype=np.int64)
+        elif arms.size > _CHUNK:
             sums = self._draw_chunks(arms, m)
         else:
             sums = self._rng.binomial(m, self.instance.means[arms]).astype(np.int64, copy=False)
             np.add.at(self.pull_counts, arms, m)
-        self._total += m * arms.size
+        self._total += pulls
         return sums
 
     def _draw_chunks(self, arms: np.ndarray, m: int) -> np.ndarray:

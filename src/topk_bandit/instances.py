@@ -45,9 +45,10 @@ def gen_synthetic_p(n: int, K: int, p: float) -> np.ndarray:
     Arm i <= K:  (1 - K/n) + (K/n) * (1 - i/K)^p
     Arm i  > K:  (1 - K/n) - ((n-K)/n) * ((i-K)/(n-K))^p
 
-    With p=1 this is exactly the evenly spaced family; endpoints are always
-    theta_1 = 1 and theta_n = 0, so the means span [0, 1] with no extra
-    normalization.
+    With p=1 this is the evenly spaced family up to rounding (2.2e-16 at
+    most for n <= 1000).  theta_1 = (1 - K/n) + (K/n) * (1 - 1/K)^p, below
+    1, and theta_n = 0, both up to rounding; a tail mean that rounds below 0
+    is clamped to 0, so the means lie in [0, 1] with no extra normalization.
     """
     _integer("K", K, 1, _integer("n", n, 1) - 1)
     _positive("p", p)
@@ -55,6 +56,7 @@ def gen_synthetic_p(n: int, K: int, p: float) -> np.ndarray:
     i = np.arange(1, n + 1, dtype=np.float64)
     head = boundary + (K / n) * (1.0 - i[:K] / K) ** p
     tail = boundary - ((n - K) / n) * ((i[K:] - K) / (n - K)) ** p
+    np.maximum(tail, 0.0, out=tail)
     return np.concatenate([head, tail])
 
 

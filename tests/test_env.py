@@ -260,10 +260,18 @@ def test_refused_array_request_counts_nothing(view, arms):
     assert env.pull_many([0, 1, 2], 9).tolist() == fresh.pull_many([0, 1, 2], 9).tolist()
 
 
-# The pull gate admits the form every selector sends, a non-empty 1-D intp
-# array of ids in range and an int m in [1, 2^63 - 1], with one test; every
-# other request takes _request's checks.  Each request below must be
-# accepted or refused, with the same error, exactly as _request accepts or
+def ref_request(arms, m, n):
+    """The pull-request check with no fast path: every request takes the
+    conversions, then one range check."""
+    arms, m = env_module._arm_ids(arms), env_module._integer("m", m, 1, 2**63 - 1)
+    if arms.size == 1 and not 0 <= arms.item(0) < n or arms.size > 1 and arms.view(np.uintp).max() >= n:
+        raise IndexError("arm index out of range")
+    return arms, m
+
+
+# env._request skips the conversions for the form every selector sends, a
+# 1-D intp array and an int m in [1, 2^63 - 1].  Each request below must be
+# accepted or refused, with the same error, exactly as ref_request accepts or
 # refuses it, by the environment and by every view.
 GATE_IDS = {
     "intp": np.array([2, 0, 2], dtype=np.intp),
@@ -293,23 +301,17 @@ def _outcome(call):
 @VIEWS
 @pytest.mark.parametrize("m_name", list(GATE_MS))
 @pytest.mark.parametrize("ids_name", list(GATE_IDS))
-def test_pull_gate_accepts_and_refuses_as_request_does(monkeypatch, view, ids_name, m_name):
+def test_pull_gate_accepts_and_refuses_as_request_does(view, ids_name, m_name):
     arms, m = GATE_IDS[ids_name], GATE_MS[m_name]
     means = [0.2, 0.5, 0.8]
     env, twin = make_env(means, seed=5), make_env(means, seed=5)
-    request = env_module._request
-    expected = _outcome(lambda: request(arms, m, 3))
-    # The one test admits the selector form alone, as given; the rest goes
-    # on to _request.
-    slow = []
-    monkeypatch.setattr(env_module, "_request", lambda *a: slow.append(1) or request(*a))
-    admitted = _outcome(lambda: env_module._admit(arms, m, 3))
-    selector_form = ids_name in ("intp", "one-id") and m_name == "int"
-    assert not slow if selector_form else slow
+    expected = _outcome(lambda: ref_request(arms, m, 3))
+    admitted = _outcome(lambda: env_module._request(arms, m, 3))
     if expected[0] == "ok":
         (got_arms, got_m), (ref_arms, ref_m) = admitted[1], expected[1]
         assert got_arms.tolist() == ref_arms.tolist() and got_m == ref_m and type(got_m) is int
-        assert got_arms.dtype == np.intp and (got_arms is arms or not selector_form)
+        # The selector form is returned as given.
+        assert got_arms.dtype == np.intp and (got_arms is arms or ids_name not in ("intp", "one-id"))
     else:
         assert admitted == expected
     got = _outcome(lambda: view(env).pull_many(arms, m))
@@ -327,10 +329,22 @@ def test_pull_gate_accepts_and_refuses_as_request_does(monkeypatch, view, ids_na
 
 
 def test_pull_gate_table_has_accepted_and_refused_requests():
-    outcomes = [_outcome(lambda: env_module._request(arms, m, 3))[0]
+    outcomes = [_outcome(lambda: ref_request(arms, m, 3))[0]
                 for arms in GATE_IDS.values() for m in GATE_MS.values()]
     assert outcomes.count("ok") == 12
     assert outcomes.count(IndexError) == 8 and outcomes.count(ValueError) == 52
+
+
+@VIEWS
+@pytest.mark.parametrize("arms", [[], np.empty(0, dtype=np.intp)], ids=["list", "intp"])
+def test_empty_request_draws_and_counts_nothing(view, arms):
+    # A fresh environment is the reference: an empty request that drew from
+    # the reward stream would leave this one's next draw unlike it.
+    env, fresh = make_env([0.2, 0.5, 0.8], seed=5), make_env([0.2, 0.5, 0.8], seed=5)
+    sums = view(env).pull_many(arms, 3)
+    assert type(sums) is np.ndarray and sums.dtype == np.int64 and sums.shape == (0,)
+    assert env.total_pulls() == 0 and not env.pull_counts.any()
+    assert env.pull_many([0, 1, 2], 9).tolist() == fresh.pull_many([0, 1, 2], 9).tolist()
 
 
 def test_pull_totals_are_exact_past_2_63():

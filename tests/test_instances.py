@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from topk_bandit.env import Instance
 from topk_bandit.instances import (
     check_c_spread,
     gen_synthetic_p,
@@ -44,10 +45,22 @@ def test_synthetic_p_endpoints_and_monotonicity(rng):
         p = float(rng.uniform(0.2, 6.0))
         m = gen_synthetic_p(n, K, p)
         assert m[0] == pytest.approx((1 - K / n) + (K / n) * (1 - 1 / K) ** p)
-        assert m[-1] == pytest.approx(0.0, abs=1e-12)
+        # theta_n is 0 up to the rounding of 1 - K/n and (n - K)/n, and
+        # never below it.
+        assert 0.0 <= m[-1] <= np.finfo(float).eps / 2
         assert m[K - 1] == pytest.approx(1.0 - K / n)
         assert np.all(np.diff(m) <= 1e-12)
-        assert np.all((m >= -1e-12) & (m <= 1 + 1e-12))
+        assert m.min() >= 0.0 and m.max() <= 1.0
+
+
+@pytest.mark.parametrize("p", [1e-17, 0.5, 1.0, 2.0])
+@pytest.mark.parametrize("n, K", [(5, 4), (10, 8), (1000, 64)])
+def test_synthetic_p_tail_rounding_below_zero_is_clamped(n, K, p):
+    # Here boundary - ((n-K)/n) * x^p rounds below 0 at the last arm (and at
+    # more tail arms as p -> 0); Instance refuses a negative mean.
+    m = gen_synthetic_p(n, K, p)
+    assert m[-1] == 0.0 and m.min() >= 0.0
+    Instance(m, K, 0.1, 0.1)
 
 
 def test_synthetic_p_rejects_bad_args():
