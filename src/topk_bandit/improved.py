@@ -17,12 +17,24 @@ refusing any other S with a ValueError naming S before any pull:
 ``improved_topk`` combines these.  It probes the undecided arms at
 precision phi = 2^-r_phi, halving phi until a rule fires.  Once the remaining
 uncertainty fits the regret budget it finishes with ``opt_mai``; otherwise it
-estimates the means at the top-K boundary and mid-head/mid-tail, and reads
-three gaps: ``wide_gap`` (across the boundary) licenses ``eps_split``, which
+reads up to three gaps, each between two ``est_kth_arm`` estimates:
+``wide_gap`` (across the top-K boundary) licenses ``eps_split``, which
 finishes the run; ``tail_gap`` (boundary over mid-tail) licenses ``elim``,
 which sheds a tenth from the tail; ``head_gap`` (mid-head over boundary)
 licenses ``reverse_elim``, which also commits a tenth from the head when more
 than half the set must be taken.
+
+Two departures from the paper's listing, neither of which changes a
+decision the listing would take on the same estimates:
+  * an estimate is drawn only when the rule reads it.  The two boundary
+    estimates are always drawn; the mid-tail one only when ``wide_gap``
+    fails, and the mid-head one only when ``tail_gap`` holds and more than
+    half the set must be taken.  Each drawn estimate still comes from fresh
+    samples, so the union bound covers a subset of the listing's calls.
+  * the probes start at phi = 1/4, not 1/2.  At phi = 1/2 no rule can fire
+    (each needs an empirical gap above 3 phi = 3/2 between means in
+    [0, 1]) and the ``opt_mai`` exit would need epsilon > 5.  Every later
+    probe keeps the listing's r, tau and sub-confidence.
 """
 
 from __future__ import annotations
@@ -255,7 +267,8 @@ def improved_topk(env, K: int, epsilon: float, delta: float) -> SelectionResult:
     state = np.full(n, _UNDECIDED, dtype=np.int8)
     S = np.arange(n)
     k_rem = K
-    r = r_phi = 1
+    # Probes start at phi = 1/4: at 1/2 nothing can act (module docstring).
+    r, r_phi = 1, 2
     K_L = (1.0 - epsilon * epsilon) * K
     K_R = (1.0 + epsilon * epsilon) * K + 1.0
 
@@ -273,21 +286,25 @@ def improved_topk(env, K: int, epsilon: float, delta: float) -> SelectionResult:
         d_sub = delta / (100.0 * (r + r_phi) ** 2)
         kp_hi = _clamp(_round_half_up(K_R - (K - k_rem)), 1, len(S))
         kp_lo = _clamp(_round_half_up(K_L - (K - k_rem)), 1, len(S))
-        kp_mid_tail = _clamp(_round_half_up((len(S) + k_rem) / 2.0), 1, len(S))
-        kp_mid_head = _clamp(_round_half_up(k_rem / 2.0), 1, len(S))
-        _, theta_K_plus = est_kth_arm(env, S, kp_hi, tau, phi, d_sub, rng=rng)
-        _, theta_K_minus = est_kth_arm(env, S, kp_lo, tau, phi, d_sub, rng=rng)
-        _, theta_plus = est_kth_arm(env, S, kp_mid_tail, tau, phi, d_sub, rng=rng)
-        _, theta_minus = est_kth_arm(env, S, kp_mid_head, tau, phi, d_sub, rng=rng)
         # Each gap, shown at 3 phi, gives the precondition (a true gap of at
         # least phi) of the subroutine it licenses: eps_split across the
-        # boundary, elim below it, reverse_elim above it.
+        # boundary, elim below it, reverse_elim above it.  An estimate is
+        # drawn, from fresh samples, only when the rule reads it.
+        _, theta_K_plus = est_kth_arm(env, S, kp_hi, tau, phi, d_sub, rng=rng)
+        _, theta_K_minus = est_kth_arm(env, S, kp_lo, tau, phi, d_sub, rng=rng)
         wide_gap = theta_K_minus - theta_K_plus > 3.0 * phi
-        tail_gap = theta_K_plus - theta_plus > 3.0 * phi
-        head_gap = theta_minus - theta_K_minus > 3.0 * phi
-        if not (wide_gap or tail_gap and (k_rem <= len(S) / 2.0 or head_gap)):
-            r_phi += 1  # no rule fires: probe again at twice the precision
-            continue
+        if not wide_gap:
+            kp_mid_tail = _clamp(_round_half_up((len(S) + k_rem) / 2.0), 1, len(S))
+            _, theta_plus = est_kth_arm(env, S, kp_mid_tail, tau, phi, d_sub, rng=rng)
+            fires = theta_K_plus - theta_plus > 3.0 * phi  # tail_gap
+            if fires and k_rem > len(S) / 2.0:
+                # reverse_elim will run too, so head_gap must show as well.
+                kp_mid_head = _clamp(_round_half_up(k_rem / 2.0), 1, len(S))
+                _, theta_minus = est_kth_arm(env, S, kp_mid_head, tau, phi, d_sub, rng=rng)
+                fires = theta_minus - theta_K_minus > 3.0 * phi  # head_gap
+            if not fires:
+                r_phi += 1  # no rule fires: probe again at twice the precision
+                continue
         if wide_gap:
             tau_split = (K_R - K_L) / k_rem
             if tau_split < 1.0 and _round_half_up((1.0 - tau_split) * k_rem) >= 1:

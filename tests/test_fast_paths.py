@@ -7,8 +7,10 @@ package's former tally class, the local ``_Pool`` in place of its former
 sorted pool, ``ref_halving`` under ``ref_est_kth_arm``, and the optional
 logs of decision and pull steps in ``ref_cb_accept_reject_topk``), except that
 ``ref_halving`` returns each round's drops and ``ref_eps_split`` tops up
-from them, the last round's first, as the package does; they live here and
-nowhere in the package.
+from them, the last round's first, as the package does, and that
+``ref_improved_topk`` calls its subroutines through the module, as the
+package's loop does, so a test can stub them; they live here and nowhere in
+the package.
 Every comparison is exact: the fast paths do the same float operations, so
 they must agree bit for bit, not within a tolerance.  The exceptions are the
 coin computations.  The threshold search sums in another order than its
@@ -18,12 +20,15 @@ as references; they must give the same threshold and agree within a bound
 derived from the rounding of each form.
 """
 
+import hashlib
 import math
 from collections import Counter
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.special import gammaln, logsumexp
 
 import topk_bandit.adaptive as adaptive_module
@@ -37,13 +42,15 @@ from topk_bandit.baselines import _CB_C, cb_accept_reject_topk, uniform_topk
 from topk_bandit.bench import (
     ALGORITHMS, ExperimentConfig, ExperimentReport, resolve_means, run_experiment, setup_trial,
 )
-from topk_bandit.env import ArmEnvironment, Instance, PullTrace, _arm_ids, _integer
+from topk_bandit.env import (
+    ArmEnvironment, ComplementEnvironment, Instance, PullTrace, _arm_ids, _integer, _open, _positive,
+)
 from topk_bandit.hardness import (
     HardnessReport, _require_sorted, gaps, hardness, psi_quantities, t_of,
 )
 from topk_bandit.improved import (
-    _clamp, _halving, _round_half_down, _round_half_up, elim, eps_split, est_kth_arm, opt_mai,
-    reverse_elim,
+    _ACCEPTED, _REJECTED, _UNDECIDED, _clamp, _halving, _round_half_down, _round_half_up, elim,
+    eps_split, est_kth_arm, improved_topk, opt_mai, reverse_elim,
 )
 from topk_bandit.instances import gen_two_group
 from topk_bandit.lowerbound import (
@@ -460,6 +467,82 @@ def ref_eps_split(env, S, K: int, tau: float, phi: float, delta: float) -> set:
     for dropped in reversed(drops):
         chosen.extend(int(a) for a in dropped)
     return set(chosen[:K])
+
+
+def ref_improved_topk(env, K: int, epsilon: float, delta: float) -> SelectionResult:
+    # The eager probe loop: four estimates per pass, from phi = 1/2 on.
+    run = SelectionRun(env, K)
+    _positive("epsilon", epsilon)
+    _open("delta", delta)
+    if run.trivial() or epsilon >= 1.0:
+        return run.result(range(K), 0)
+    n = env.n
+    if 2 * K > n:
+        inner = ref_improved_topk(ComplementEnvironment(env), n - K, epsilon, delta)
+        selected = np.setdiff1d(np.arange(n), inner.selected, assume_unique=True)
+        return run.result(selected, inner.rounds_completed, inner.rejected, inner.accepted_early)
+
+    rng = env.spawn_rng()
+    # Per arm: undecided, accepted early (A) or rejected (B).  S, the
+    # undecided arms, is read in ascending id order, the order of its pulls.
+    state = np.full(n, _UNDECIDED, dtype=np.int8)
+    S = np.arange(n)
+    k_rem = K
+    r = r_phi = 1
+    K_L = (1.0 - epsilon * epsilon) * K
+    K_R = (1.0 + epsilon * epsilon) * K + 1.0
+
+    def finish(chosen):
+        A = np.flatnonzero(state == _ACCEPTED)
+        return run.result(np.concatenate([chosen, A]), r, A, np.flatnonzero(state == _REJECTED))
+
+    # Each round leaves at least k_rem >= 1 undecided arms, so S never empties.
+    while True:
+        phi = 2.0 ** (-r_phi)
+        if 10.0 * k_rem * phi < K * epsilon:
+            # No estimates needed; the uncertainty already fits the budget.
+            return finish(improved_module.opt_mai(env, S, k_rem, phi, delta / 100.0))
+        tau = epsilon * epsilon / (100.0 * r * r)
+        d_sub = delta / (100.0 * (r + r_phi) ** 2)
+        kp_hi = _clamp(_round_half_up(K_R - (K - k_rem)), 1, len(S))
+        kp_lo = _clamp(_round_half_up(K_L - (K - k_rem)), 1, len(S))
+        kp_mid_tail = _clamp(_round_half_up((len(S) + k_rem) / 2.0), 1, len(S))
+        kp_mid_head = _clamp(_round_half_up(k_rem / 2.0), 1, len(S))
+        _, theta_K_plus = improved_module.est_kth_arm(env, S, kp_hi, tau, phi, d_sub, rng=rng)
+        _, theta_K_minus = improved_module.est_kth_arm(env, S, kp_lo, tau, phi, d_sub, rng=rng)
+        _, theta_plus = improved_module.est_kth_arm(env, S, kp_mid_tail, tau, phi, d_sub, rng=rng)
+        _, theta_minus = improved_module.est_kth_arm(env, S, kp_mid_head, tau, phi, d_sub, rng=rng)
+        # Each gap, shown at 3 phi, gives the precondition (a true gap of at
+        # least phi) of the subroutine it licenses: eps_split across the
+        # boundary, elim below it, reverse_elim above it.
+        wide_gap = theta_K_minus - theta_K_plus > 3.0 * phi
+        tail_gap = theta_K_plus - theta_plus > 3.0 * phi
+        head_gap = theta_minus - theta_K_minus > 3.0 * phi
+        if not (wide_gap or tail_gap and (k_rem <= len(S) / 2.0 or head_gap)):
+            r_phi += 1  # no rule fires: probe again at twice the precision
+            continue
+        if wide_gap:
+            tau_split = (K_R - K_L) / k_rem
+            if tau_split < 1.0 and _round_half_up((1.0 - tau_split) * k_rem) >= 1:
+                return finish(improved_module.eps_split(env, S, k_rem, tau_split, phi,
+                                                        delta / 100.0))
+        if wide_gap or len(S) - math.ceil(len(S) / 10) < k_rem:
+            # The split ratio collapses on small sets, or shedding a tenth
+            # would cut into arms we must return: a direct PAC selection at
+            # the budget's share of the tolerance is safe.
+            return finish(improved_module.opt_mai(env, S, k_rem, K * epsilon / (10.0 * k_rem),
+                                                  delta / 100.0))
+        gamma = epsilon * epsilon / (100.0 * r * r)
+        d_round = delta / (100.0 * r * r)
+        U = improved_module.elim(env, S, k_rem, gamma, phi, d_round)
+        state[U] = _REJECTED
+        if k_rem > len(S) / 2.0:
+            # Separate samples can put an arm in both; its rejection stands.
+            V = np.setdiff1d(improved_module.reverse_elim(env, S, k_rem, gamma, phi, d_round), U)
+            state[V] = _ACCEPTED
+            k_rem -= len(V)
+        r += 1
+        S = np.flatnonzero(state == _UNDECIDED)
 
 
 def _t_conditions(gap: np.ndarray, K: int, epsilon: float, t: int) -> bool:
@@ -1307,6 +1390,112 @@ def test_opt_mai_matches_float_sort():
         _same_env_state(fast_env, slow_env)
         big_m += 0 < K < len(S) and oracle_opt_mai_pulls(len(S), epsilon, delta) >= 1 << 16
     assert 100 < big_m < 200, big_m
+
+
+# --- improved_topk's probe loop against the eager loop ----------------------
+
+def _stubbed_subroutines(monkeypatch, log):
+    """Replaces ``est_kth_arm`` by a stub that pulls nothing and returns a
+    theta in (0, 1) fixed by (S, k, phi), and logs every subroutine call as
+    (name, S, k, ...) with the stub's theta last.  The other four still pull."""
+    def stub(env, S, K, tau, phi, delta, rng=None):
+        S = np.asarray(S, dtype=np.int64)
+        key = hashlib.sha256(S.tobytes() + f"{K} {phi.hex()}".encode()).digest()
+        # A k-th largest mean falls with k; the hash adds noise of up to 0.2.
+        theta = 0.8 * (1.0 - (K - 0.5) / len(S)) + 0.2 * int.from_bytes(key[:8], "little") / 2.0**64
+        log.append(("est_kth_arm", S.tolist(), K, phi, theta))
+        return int(S[0]), theta
+
+    def spy(name, fn):
+        def call(env, S, K, *args):
+            log.append((name, np.asarray(S).tolist(), K) + args)
+            return fn(env, S, K, *args)
+        return call
+
+    monkeypatch.setattr(improved_module, "est_kth_arm", stub)
+    for name in ("eps_split", "elim", "reverse_elim", "opt_mai"):
+        monkeypatch.setattr(improved_module, name, spy(name, getattr(improved_module, name)))
+
+
+def _read_estimates(eager_log):
+    """The eager loop's log without the estimates its rule does not read:
+    every probe at phi = 1/2, the mid-tail estimate after a wide gap, and
+    the mid-head estimate unless the tail gap shows and k_rem > |S| / 2.
+    A pass's k_rem is the k of the next call that is not a probe."""
+    kept, i = [], 0
+    while i < len(eager_log):
+        if eager_log[i][0] != "est_kth_arm":
+            kept.append(eager_log[i])
+            i += 1
+            continue
+        hi, lo, tail, head = eager_log[i:i + 4]
+        assert {hi[0], lo[0], tail[0], head[0]} == {"est_kth_arm"}
+        k_rem = next(call[2] for call in eager_log[i + 4:] if call[0] != "est_kth_arm")
+        phi = hi[3]
+        if phi != 0.5:
+            kept += [hi, lo]
+            if not lo[4] - hi[4] > 3.0 * phi:
+                kept.append(tail)
+                if hi[4] - tail[4] > 3.0 * phi and k_rem > len(hi[1]) / 2.0:
+                    kept.append(head)
+        i += 4
+    return kept
+
+
+def _probe_pass_sizes(log):
+    """The number of estimates each probe pass drew; a pass probes one
+    (S, phi)."""
+    passes = [(tuple(call[1]), call[3]) for call in log if call[0] == "est_kth_arm"]
+    return Counter(Counter(passes).values())
+
+
+def test_improved_topk_matches_eager_probe_loop(monkeypatch):
+    log = []
+    _stubbed_subroutines(monkeypatch, log)
+    rng = np.random.default_rng(17)
+    exits, pass_sizes, complement, eager_calls, lazy_calls = Counter(), Counter(), 0, 0, 0
+    for seed in range(300):
+        n = int(rng.integers(2, 60))
+        means = np.round(rng.random(n), int(rng.integers(1, 3)))
+        # Half the cases put K within a few arms of n/2, where a round or
+        # two of elim leaves k_rem > |S| / 2 and the mid-head probe runs.
+        K = int(rng.integers(1, n)) if seed % 2 else min(max(n // 2 + int(rng.integers(-3, 4)), 1), n - 1)
+        epsilon, delta = _log_uniform(rng, 0.005, 0.9), rng.uniform(0.01, 0.5)
+        eager_env, lazy_env = _env(means, 1, seed), _env(means, 1, seed)
+        eager = ref_improved_topk(eager_env, K, epsilon, delta)
+        eager_log = log[:]
+        log.clear()
+        lazy = improved_topk(lazy_env, K, epsilon, delta)
+        lazy_log = log[:]
+        log.clear()
+        assert lazy == eager, (n, K, epsilon, delta)
+        _same_env_state(lazy_env, eager_env)
+        assert lazy_log == _read_estimates(eager_log)
+        assert all(call[3] <= 0.25 for call in lazy_log if call[0] == "est_kth_arm")
+        complement += 2 * K > n
+        exits.update({name for name, *_ in lazy_log} - {"est_kth_arm"})
+        pass_sizes += _probe_pass_sizes(lazy_log)
+        eager_calls += sum(call[0] == "est_kth_arm" for call in eager_log)
+        lazy_calls += sum(call[0] == "est_kth_arm" for call in lazy_log)
+    # Every exit and both elimination passes are reached, on both sides of
+    # n/2, and passes draw two, three and four estimates.
+    assert complement > 50 and min(exits[name] for name in
+                                   ("eps_split", "elim", "reverse_elim", "opt_mai")) > 20, exits
+    assert sorted(pass_sizes) == [2, 3, 4] and min(pass_sizes.values()) > 20, pass_sizes
+    assert lazy_calls < 0.8 * eager_calls
+
+
+@given(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4), st.integers(1, 10**6),
+       st.integers(1, 10**6), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_eager_rule_never_fires_at_phi_one_half(thetas, k_rem, size, epsilon):
+    theta_K_plus, theta_K_minus, theta_plus, theta_minus = thetas
+    phi = 0.5
+    wide_gap = theta_K_minus - theta_K_plus > 3.0 * phi
+    tail_gap = theta_K_plus - theta_plus > 3.0 * phi
+    head_gap = theta_minus - theta_K_minus > 3.0 * phi
+    assert not (wide_gap or tail_gap and (k_rem <= size / 2.0 or head_gap))
+    # Nor can the first pass's opt_mai exit, where k_rem = K.
+    assert not 10.0 * k_rem * phi < k_rem * epsilon
 
 
 # --- hardness and t_of ------------------------------------------------------

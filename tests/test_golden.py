@@ -158,15 +158,15 @@ EXPECTED = {
     "est-kth-arm": "2633d4fccd727e14f5d36dfa607b257858b9f951830323ec5cd03edad18ec854",
     "fixed-budget-below-n": "864109ce6087db4b7ef8ed504ce3f3e319c6211fe03a1206b972ff4604021515",
     "fixed-budget-remainder": "7640e66ca8a2260e68e5a7c0b5aaf78c76e6531b288b4897fc6ebdc3850d71f5",
-    "improved": "b75d29425bd992575f902496c29fee4cb9fe66e0b127171301aa3e22e5b7d76b",
-    "improved-complement": "4009c923e1278e6d189e1fe3705cd9681038f1523ff2a930ee20f215465fb71f",
-    "improved-collapsed-split": "07ed4f2cb3444ca399de9b889dcb903a02566bec3a398e7b29983d5ec6e06839",
-    "improved-eps-split": "4a54b4ac5d4966bc1cd2643d2c6e6b0e5cc93336a5428b6440f37fe8c8e96833",
+    "improved": "313ebf659bf3f90c157b950b4ea31180fda6d6a4c45cf604d46688e45a3d385e",
+    "improved-complement": "596d0580d901f115edd64a0718c84df0fc488a4598237abbb23ce62ed8fe5fb4",
+    "improved-collapsed-split": "03439d508b9634469a84abec5a3ee2906ee9722d14b08dd05fc6898835fa43b1",
+    "improved-eps-split": "f457344137c79ea778811356447252c98a13354ace9b9cc1fd60bf94441de06d",
     "optmai": "03f0c9aef10a49d8c2bf6b48f8d419dc2c83f28fac92a74c2819f4177af33755",
     "record-rounds": "4ad0de19fdd5fbe1df49fdd54de7bf6ffc493edd12a8c073f47fd44cca4497a0",
     "record-rounds-fixed-budget": "fdb5624500f5ac4d2f7fa949278d64947632faeecf4019c6e4b6b7da5f994e9c",
     "reduction-run": "f68763da33752b412e930a5f3049471d72eee11580b091699f003b5413422cf7",
-    "registry-csv": "6f253ed6b8210f96041b9c60c50da0d8bc05e6363fbdde49e80f6ae42ee32392",
+    "registry-csv": "5dd9c8859c109ccf610b14e837956d4df6a3d2775ab0e1419e7c03f2d3265438",
     "shuffled-trial": "b761aa67522012fcd3f27c1779fd9ff67d27c9a78e76de08d8289f56dee2562a",
     "two-group-adaptive": "bb77840244d84a0877212bfedcee07e64aafea3e425f64fa2a1caa858701655a",
     "uniform": "b503027a56c71b5040b5185833b8f99cc691033c49eee9cec059bd802f5fd456",

@@ -240,6 +240,34 @@ class TestImprovedTopK:
         for (S, k, tau, phi, delta), pulls in est_calls:
             assert pulls == est_kth_arm_cost(len(S), k, tau, phi, delta)
 
+    @pytest.mark.parametrize("means, K, eps, delta, seed_key", [
+        (gen_two_group(1000, 100), 100, 0.01, 0.01, (0, 0)),  # a perfbench grid cell
+        (gen_uniform(60), 30, 0.2, 0.1, (5, 30)),             # sheds through reverse_elim
+    ], ids=["grid-cell", "reverse-elim"])
+    def test_probes_draw_only_the_estimates_the_rule_reads(self, subroutine_calls, means, K,
+                                                             eps, delta, seed_key):
+        env, _, _ = shuffled_trial(means, K, eps, delta, seed_key)
+        improved_topk(env, K, eps, delta)
+        # A probe pass is a run of est_kth_arm calls on one (S, phi); its
+        # k_rem is the K of the next call, which no pass changes.
+        passes = []
+        for name, args, pulls in subroutine_calls:
+            if name != "est_kth_arm":
+                for p in passes:
+                    p.setdefault("k_rem", args[1])
+                continue
+            S, k, tau, phi, d_sub = args
+            assert pulls == est_kth_arm_cost(len(S), k, tau, phi, d_sub)
+            if not passes or (passes[-1]["S"], passes[-1]["phi"]) != (S.tolist(), phi):
+                passes.append({"S": S.tolist(), "phi": phi, "ks": []})
+            passes[-1]["ks"].append(k)
+        assert passes and passes[0]["phi"] == 0.25
+        for p in passes:
+            assert p["phi"] < 0.5 and 2 <= len(p["ks"]) <= 4
+            if len(p["ks"]) == 4:  # the mid-head estimate
+                assert p["k_rem"] > len(p["S"]) / 2.0
+                assert p["ks"][3] == max(1, math.floor(p["k_rem"] / 2.0 + 0.5))
+
     def test_undecided_arms_are_read_in_ascending_id_order(self, subroutine_calls):
         # S's order fixes which arm each reward draw goes to.  This run sheds
         # arms through elim and reverse_elim before opt_mai finishes it.
